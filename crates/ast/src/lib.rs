@@ -12,6 +12,8 @@
 //! * a **visitor** ([`visit`]) for structural traversals;
 //! * a **mutation/rebuild API** ([`rewrite`]) for clone-and-replace
 //!   transformations — the substrate of the `ompfuzz-reduce` delta debugger;
+//! * an **exact s-expression writer** ([`sexpr`]) with bit-exact floats —
+//!   the catalog's on-disk program form and the reducer's memo key;
 //! * **static feature extraction** ([`features`]) used by the simulated
 //!   OpenMP backends and by the campaign reports.
 //!
@@ -50,6 +52,7 @@ pub mod ops;
 pub mod printer;
 pub mod program;
 pub mod rewrite;
+pub mod sexpr;
 pub mod stmt;
 pub mod types;
 pub mod visit;

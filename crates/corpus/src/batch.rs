@@ -63,6 +63,12 @@ pub struct BatchReduction {
 }
 
 impl BatchReduction {
+    /// Candidates answered from the reducers' verdict memos, summed over
+    /// every reduction.
+    pub fn memo_hits(&self) -> usize {
+        self.reduced.iter().map(|r| r.outcome.memo_hits).sum()
+    }
+
     /// Distinct skeletons among the reduced kernels.
     pub fn distinct_skeletons(&self) -> usize {
         self.reduced
@@ -207,6 +213,7 @@ mod tests {
         let b = reduce_all(&corpus, &result, &dyns, &cfg8);
         assert_eq!(a.reduced.len(), outliers);
         assert_eq!(a.oracle_checks, b.oracle_checks);
+        assert_eq!(a.memo_hits(), b.memo_hits());
         for (ra, rb) in a.reduced.iter().zip(&b.reduced) {
             assert_eq!(ra.program_index, rb.program_index);
             assert_eq!(ra.outcome.reduced, rb.outcome.reduced);

@@ -24,4 +24,4 @@ pub mod testinput;
 
 pub use class::{classify_f32, classify_f64, ClassMix, FpClass};
 pub use generator::{input_stream_seed, InputGenerator};
-pub use testinput::{InputValue, TestInput};
+pub use testinput::{write_input, InputValue, TestInput};

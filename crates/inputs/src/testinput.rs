@@ -123,6 +123,24 @@ impl TestInput {
     }
 }
 
+/// Serialize an input vector to one s-expression line — the exact form the
+/// trigger catalog stores. Floats are written as `f64::to_bits`, so two
+/// inputs print the same text only if every value is bit-identical (`0.0`
+/// vs `-0.0` and NaN payloads stay distinct); the reducer keys its verdict
+/// memo on this text for the same reason.
+pub fn write_input(input: &TestInput) -> String {
+    let mut out = format!("(input {}", input.comp_init.to_bits());
+    for v in &input.values {
+        match v {
+            InputValue::Int(i) => out.push_str(&format!(" (i {i})")),
+            InputValue::Fp(f) => out.push_str(&format!(" (f {})", f.to_bits())),
+            InputValue::ArrayFill(f) => out.push_str(&format!(" (a {})", f.to_bits())),
+        }
+    }
+    out.push(')');
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

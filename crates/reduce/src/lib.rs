@@ -19,10 +19,13 @@
 //!    [`ompfuzz_outlier::analyze`]) and keeps the edit only if the original
 //!    verdict still reproduces on the same backend.
 //!
-//! Candidate oracle checks run in parallel on a worker pool (the same
-//! crossbeam pattern as the campaign driver), but acceptance uses a
-//! deterministic first-success tiebreak — the lowest-index reproducing
-//! candidate wins — so the reduced program is identical for any worker
+//! Candidates are judged in index order, in waves of one check per worker
+//! on a worker pool (the same crossbeam pattern as the campaign driver),
+//! and the search stops at the first wave holding a reproducing candidate.
+//! Acceptance uses a deterministic first-success tiebreak — the
+//! lowest-index reproducing candidate wins — and a per-reduction verdict
+//! memo ([`memo_key`]) answers candidates already judged, so the reduced
+//! program and the reported check counts are identical for any worker
 //! count.
 //!
 //! ```
@@ -44,5 +47,5 @@
 pub mod reducer;
 pub mod target;
 
-pub use reducer::{PassStat, ReduceConfig, Reducer, ReductionOutcome};
+pub use reducer::{memo_key, PassStat, ReduceConfig, Reducer, ReductionOutcome};
 pub use target::{ReductionTarget, Verdict};

@@ -1,11 +1,22 @@
 //! The fixpoint reduction loop and its parallel oracle.
 //!
-//! Every pass enumerates candidate edits against the *current* program,
-//! evaluates the whole batch on the worker pool, and accepts the
-//! lowest-index candidate whose oracle check still reproduces the target
-//! verdict. Evaluating the full batch (instead of stopping at the first
-//! success a worker happens to finish) is what makes the result — and the
-//! reported oracle-check count — identical for every worker count.
+//! Every pass enumerates candidate edits against the *current* program and
+//! accepts the lowest-index candidate whose oracle check still reproduces
+//! the target verdict. Candidates are judged in index order, in waves of
+//! `workers` (one at a time single-worker), and the search stops after the
+//! first wave that holds a reproducing candidate: its lowest-index success
+//! is exactly the candidate a full-batch evaluation would accept.
+//!
+//! Each reduction also keeps a verdict memo keyed on a candidate's exact
+//! `(program, input)` s-expression bytes (bit-exact floats), so a candidate
+//! judged earlier in the same reduction — typically in the final confirming
+//! fixpoint round — is never re-run. The memo dies with the reduction.
+//!
+//! `oracle_checks` counts the oracle runs the *serial* order performs: the
+//! entry check, the exit check, and memo misses up to and including each
+//! accepted candidate. Speculative evaluations a wider wave runs past the
+//! accepted index are neither counted nor memoized, so the reduced program
+//! and every reported count are identical for every worker count.
 
 use crate::target::{ReductionTarget, Verdict};
 use ompfuzz_ast::rewrite::{self, ClauseEdit, ExprSide};
@@ -16,7 +27,7 @@ use ompfuzz_harness::{pool, CampaignConfig};
 use ompfuzz_inputs::TestInput;
 use ompfuzz_obs::{Counter, Obs};
 use ompfuzz_outlier::{analyze, OutlierConfig};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 /// Reduction tuning. The oracle options must match the campaign that
 /// produced the target verdict, otherwise the verdict may not reproduce on
@@ -83,6 +94,8 @@ pub struct PassStat {
     pub accepted: usize,
     /// Oracle checks spent across all rounds.
     pub checks: usize,
+    /// Candidates answered from the verdict memo instead of the oracle.
+    pub memo_hits: usize,
 }
 
 /// What a reduction produced.
@@ -99,8 +112,11 @@ pub struct ReductionOutcome {
     pub original_stmts: usize,
     /// Statement count after reduction.
     pub reduced_stmts: usize,
-    /// Total oracle checks performed.
+    /// Total oracle checks performed (entry and exit checks plus every
+    /// memo miss up to each accepted candidate).
     pub oracle_checks: usize,
+    /// Candidates answered from the per-reduction verdict memo.
+    pub memo_hits: usize,
     /// Fixpoint rounds executed.
     pub rounds: usize,
     /// Per-pass accounting.
@@ -154,33 +170,15 @@ impl<'b> Reducer<'b> {
     /// oracle settings), the outcome is the unmodified program with one
     /// oracle check spent.
     pub fn reduce(&self, target: &ReductionTarget) -> ReductionOutcome {
-        let mut passes = vec![
-            PassStat {
-                pass: "ddmin",
+        let mut passes: Vec<PassStat> = ["ddmin", "loop-trips", "clauses", "exprs", "params"]
+            .into_iter()
+            .map(|pass| PassStat {
+                pass,
                 accepted: 0,
                 checks: 0,
-            },
-            PassStat {
-                pass: "loop-trips",
-                accepted: 0,
-                checks: 0,
-            },
-            PassStat {
-                pass: "clauses",
-                accepted: 0,
-                checks: 0,
-            },
-            PassStat {
-                pass: "exprs",
-                accepted: 0,
-                checks: 0,
-            },
-            PassStat {
-                pass: "params",
-                accepted: 0,
-                checks: 0,
-            },
-        ];
+                memo_hits: 0,
+            })
+            .collect();
         let original_stmts = target.program.body.stmt_count();
         let mut current = target.program.clone();
         let mut input = target.input.clone();
@@ -201,20 +199,22 @@ impl<'b> Reducer<'b> {
                     &mut ExecScratch::new(),
                 )
             });
-        let ctx = OracleCtx {
+        let mut ctx = OracleCtx {
             verdict: target.verdict,
             allow_races,
+            memo: HashMap::new(),
         };
 
-        if self.reproduces(&current, &input, &ctx) {
+        if self.check(&current, &input, &ctx) {
+            ctx.memo.insert(memo_key(&current, &input), true);
             for _ in 0..self.config.max_rounds {
                 rounds += 1;
                 let before = (current.clone(), input.clone());
-                self.ddmin_pass(&mut current, &input, &ctx, &mut passes[0]);
-                self.loop_trip_pass(&mut current, &input, &ctx, &mut passes[1]);
-                self.clause_pass(&mut current, &input, &ctx, &mut passes[2]);
-                self.expr_pass(&mut current, &input, &ctx, &mut passes[3]);
-                self.param_pass(&mut current, &mut input, &ctx, &mut passes[4]);
+                self.ddmin_pass(&mut current, &input, &mut ctx, &mut passes[0]);
+                self.loop_trip_pass(&mut current, &input, &mut ctx, &mut passes[1]);
+                self.clause_pass(&mut current, &input, &mut ctx, &mut passes[2]);
+                self.expr_pass(&mut current, &input, &mut ctx, &mut passes[3]);
+                self.param_pass(&mut current, &mut input, &mut ctx, &mut passes[4]);
                 if before.0 == current && before.1 == input {
                     break;
                 }
@@ -222,9 +222,11 @@ impl<'b> Reducer<'b> {
             // Safety net: the accepted program always reproduces (every
             // acceptance was oracle-gated), but re-check the final state so
             // a reducer bug can never ship a non-reproducing "minimal"
-            // case — fall back to the untouched original instead.
+            // case — fall back to the untouched original instead. This
+            // check always runs the oracle for real: it must not trust the
+            // memo it is meant to audit.
             sanity_checks += 1;
-            if !self.reproduces(&current, &input, &ctx) {
+            if !self.check(&current, &input, &ctx) {
                 debug_assert!(false, "reduction fixpoint no longer reproduces its verdict");
                 current = target.program.clone();
                 input = target.input.clone();
@@ -232,6 +234,7 @@ impl<'b> Reducer<'b> {
         }
 
         let oracle_checks = sanity_checks + passes.iter().map(|p| p.checks).sum::<usize>();
+        let memo_hits = passes.iter().map(|p| p.memo_hits).sum();
         ReductionOutcome {
             reduced_stmts: current.body.stmt_count(),
             reduced: current,
@@ -239,6 +242,7 @@ impl<'b> Reducer<'b> {
             verdict: target.verdict,
             original_stmts,
             oracle_checks,
+            memo_hits,
             rounds,
             passes,
         }
@@ -246,15 +250,19 @@ impl<'b> Reducer<'b> {
 
     // -- oracle ------------------------------------------------------------
 
+    /// One counted oracle check outside the candidate search (the entry and
+    /// exit checks), bypassing the memo.
+    fn check(&self, program: &Program, input: &TestInput, ctx: &OracleCtx) -> bool {
+        self.obs.count(Counter::ReducerCandidateChecks, 1);
+        self.reproduces(program, input, ctx)
+    }
+
     /// Does `program` on `input` still produce the target verdict?
     /// Candidates that fail to lower/compile simply don't reproduce, and
     /// (when `filter_races` is on and the original witness was race-free)
     /// neither do candidates the campaign's dynamic race detector would
     /// have excluded from analysis.
     fn reproduces(&self, program: &Program, input: &TestInput, ctx: &OracleCtx) -> bool {
-        // One oracle check per call: pass batches plus the entry/exit
-        // sanity checks, so the counter matches `oracle_checks` exactly.
-        self.obs.count(Counter::ReducerCandidateChecks, 1);
         let Ok(kernel) = ompfuzz_exec::lower(program) else {
             return false;
         };
@@ -285,24 +293,48 @@ impl<'b> Reducer<'b> {
             == Some((ctx.verdict.kind, ctx.verdict.backend))
     }
 
-    /// Evaluate a candidate batch on the worker pool and return the index
-    /// of the *first* (lowest-index) reproducing candidate. Every candidate
-    /// is evaluated ([`pool::map_parallel`] has no early exit), so the
-    /// result and the check count are independent of worker count and
-    /// scheduling.
+    /// Return the index of the *first* (lowest-index) reproducing
+    /// candidate. Candidates are judged in index order, in waves of
+    /// `workers` whose memo misses run on the worker pool, stopping after
+    /// the first wave with a success. Verdicts are then tallied in serial
+    /// order — a memo hit or a counted, memoized oracle check per candidate
+    /// up to the accepted one — so the result and every count are
+    /// independent of worker count and scheduling.
     fn first_reproducing(
         &self,
         candidates: &[Candidate],
-        ctx: &OracleCtx,
+        ctx: &mut OracleCtx,
         stat: &mut PassStat,
     ) -> Option<usize> {
-        stat.checks += candidates.len();
-        let workers = pool::resolve_workers(self.config.workers);
-        pool::map_parallel(workers, candidates, |(program, input)| {
-            self.reproduces(program, input, ctx)
-        })
-        .into_iter()
-        .position(|reproduced| reproduced)
+        let wave = pool::resolve_workers(self.config.workers);
+        for (w, chunk) in candidates.chunks(wave).enumerate() {
+            let keys: Vec<String> = chunk.iter().map(|(p, i)| memo_key(p, i)).collect();
+            let misses: Vec<usize> = (0..chunk.len())
+                .filter(|&k| !ctx.memo.contains_key(&keys[k]))
+                .collect();
+            let verdicts = pool::map_parallel(wave, &misses, |&k| {
+                self.reproduces(&chunk[k].0, &chunk[k].1, ctx)
+            });
+            for (k, key) in keys.into_iter().enumerate() {
+                let reproduced = match ctx.memo.get(&key) {
+                    Some(&reproduced) => {
+                        stat.memo_hits += 1;
+                        reproduced
+                    }
+                    None => {
+                        let miss = misses.binary_search(&k).expect("wave misses were judged");
+                        stat.checks += 1;
+                        self.obs.count(Counter::ReducerCandidateChecks, 1);
+                        ctx.memo.insert(key, verdicts[miss]);
+                        verdicts[miss]
+                    }
+                };
+                if reproduced {
+                    return Some(w * wave + k);
+                }
+            }
+        }
+        None
     }
 
     // -- passes ------------------------------------------------------------
@@ -314,7 +346,7 @@ impl<'b> Reducer<'b> {
         &self,
         current: &mut Program,
         input: &TestInput,
-        ctx: &OracleCtx,
+        ctx: &mut OracleCtx,
         stat: &mut PassStat,
     ) {
         let mut chunk = rewrite::stmt_sites(current).div_ceil(2).max(1);
@@ -358,7 +390,7 @@ impl<'b> Reducer<'b> {
         &self,
         current: &mut Program,
         input: &TestInput,
-        ctx: &OracleCtx,
+        ctx: &mut OracleCtx,
         stat: &mut PassStat,
     ) {
         loop {
@@ -386,7 +418,7 @@ impl<'b> Reducer<'b> {
         &self,
         current: &mut Program,
         input: &TestInput,
-        ctx: &OracleCtx,
+        ctx: &mut OracleCtx,
         stat: &mut PassStat,
     ) {
         loop {
@@ -415,7 +447,7 @@ impl<'b> Reducer<'b> {
         &self,
         current: &mut Program,
         input: &TestInput,
-        ctx: &OracleCtx,
+        ctx: &mut OracleCtx,
         stat: &mut PassStat,
     ) {
         let mut site = rewrite::expr_sites(current);
@@ -450,7 +482,7 @@ impl<'b> Reducer<'b> {
         &self,
         current: &mut Program,
         input: &mut TestInput,
-        ctx: &OracleCtx,
+        ctx: &mut OracleCtx,
         stat: &mut PassStat,
     ) {
         loop {
@@ -479,13 +511,28 @@ impl<'b> Reducer<'b> {
     }
 }
 
-/// Per-reduction oracle parameters, fixed when `reduce` starts.
+/// Per-reduction oracle state: parameters fixed when `reduce` starts, plus
+/// the verdict memo, dropped when it ends.
 struct OracleCtx {
     /// The verdict every accepted candidate must preserve.
     verdict: Verdict,
     /// The original witness already races on the pinned input, so the race
     /// gate is waived (reduction can't *introduce* what's already there).
     allow_races: bool,
+    /// Verdicts judged so far, keyed by [`memo_key`]. The oracle is a pure
+    /// function of `(program, input)` within one reduction — modelled bugs
+    /// are salted by program name, seed and input line, all in the key.
+    memo: HashMap<String, bool>,
+}
+
+/// A candidate's verdict-memo key: the catalog's s-expression text of
+/// program and input. Floats are written as their bits, so `0.0`/`-0.0` or
+/// NaNs with different payloads never share an entry, unlike `PartialEq`.
+pub fn memo_key(program: &Program, input: &TestInput) -> String {
+    let mut key = ompfuzz_ast::sexpr::write_program(program);
+    key.push('\n');
+    key.push_str(&ompfuzz_inputs::write_input(input));
+    key
 }
 
 /// Does the compiled candidate race on `input`? Delegates to the campaign

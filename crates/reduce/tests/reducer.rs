@@ -1,12 +1,15 @@
-//! Reducer behaviour on the crafted case-study kernels: oracle
-//! preservation, worker-count determinism, idempotence, and the ddmin
-//! non-empty guarantee.
+//! Reducer behaviour on the crafted case-study kernels and on
+//! campaign-derived outliers: oracle preservation, worker-count
+//! determinism (results and check/memo counts), verdict-memo key
+//! precision, idempotence, and the ddmin non-empty guarantee.
 
 use ompfuzz_ast::rewrite;
 use ompfuzz_backends::{oracle, standard_backends, CompileOptions, OmpBackend, RunOptions};
-use ompfuzz_harness::caselib;
+use ompfuzz_harness::{caselib, generate_corpus, run_campaign_on, CampaignConfig};
+use ompfuzz_inputs::InputValue;
 use ompfuzz_outlier::{analyze, OutlierConfig, OutlierKind};
-use ompfuzz_reduce::{ReduceConfig, Reducer, ReductionOutcome, ReductionTarget, Verdict};
+use ompfuzz_reduce::{memo_key, ReduceConfig, Reducer, ReductionOutcome, ReductionTarget, Verdict};
+use std::time::Instant;
 
 fn dyns(backends: &[ompfuzz_backends::SimBackend]) -> Vec<&dyn OmpBackend> {
     backends.iter().map(|b| b as &dyn OmpBackend).collect()
@@ -35,6 +38,8 @@ fn oracle_is_preserved_by_reduction() {
     let target = hang_target();
     let out = reduce_with_workers(&target, 4);
     assert!(out.reduced_stmts < out.original_stmts, "{out:?}");
+    // The entry check and the memo-bypassing exit check both ran.
+    assert!(out.oracle_checks >= 2, "{out:?}");
 
     // Independent re-check: run the reduced program through the
     // differential pipeline from scratch and re-derive the verdict.
@@ -55,16 +60,128 @@ fn oracle_is_preserved_by_reduction() {
     assert_eq!(verdict, Some((OutlierKind::Hang, 0)));
 }
 
+/// The first outlier of each of three small seeded campaigns, with the
+/// oracle settings those campaigns share. The configuration is the
+/// evolution smoke campaign's (small generator, time-filter floor dropped
+/// so microsecond-scale programs reach outlier analysis); the seeds were
+/// picked by scanning for campaigns that produce an outlier.
+fn campaign_targets() -> (CampaignConfig, Vec<ReductionTarget>) {
+    let backends = standard_backends();
+    let mut cfg = CampaignConfig {
+        programs: 60,
+        ..CampaignConfig::small()
+    };
+    cfg.outlier.min_time_us = 10.0;
+    let targets = [6, 20, 24]
+        .into_iter()
+        .map(|seed| {
+            cfg.seed = seed;
+            let corpus = generate_corpus(&cfg);
+            let result = run_campaign_on(&cfg, &dyns(&backends), &corpus, Instant::now());
+            let record = result.records.iter().find(|r| r.outlier().is_some());
+            ReductionTarget::from_record(&corpus, record.expect("seeded campaign has an outlier"))
+                .expect("outlier record resolves")
+        })
+        .collect();
+    (cfg, targets)
+}
+
+fn assert_same_reduction(a: &ReductionOutcome, b: &ReductionOutcome) {
+    assert_eq!(a.reduced, b.reduced);
+    assert_eq!(a.input, b.input);
+    assert_eq!(a.oracle_checks, b.oracle_checks);
+    assert_eq!(a.memo_hits, b.memo_hits);
+    assert_eq!(a.rounds, b.rounds);
+    assert_eq!(a.passes, b.passes);
+}
+
 #[test]
 fn reduction_is_deterministic_across_worker_counts() {
     let target = hang_target();
     let a = reduce_with_workers(&target, 1);
-    let b = reduce_with_workers(&target, 8);
-    assert_eq!(a.reduced, b.reduced);
-    assert_eq!(a.input, b.input);
-    assert_eq!(a.oracle_checks, b.oracle_checks);
-    assert_eq!(a.rounds, b.rounds);
-    assert_eq!(a.passes, b.passes);
+    for workers in [4, 8] {
+        assert_same_reduction(&a, &reduce_with_workers(&target, workers));
+    }
+
+    let (cfg, targets) = campaign_targets();
+    let backends = standard_backends();
+    let dyns = dyns(&backends);
+    for target in &targets {
+        let reduce = |workers| {
+            let config = ReduceConfig {
+                workers,
+                ..ReduceConfig::for_campaign(&cfg)
+            };
+            Reducer::new(&dyns, config).reduce(target)
+        };
+        let serial = reduce(1);
+        // A reproducing target always pays the entry and the exit check.
+        assert!(serial.oracle_checks >= 2, "{serial:?}");
+        for workers in [4, 8] {
+            assert_same_reduction(&serial, &reduce(workers));
+        }
+    }
+}
+
+#[test]
+fn memo_keys_keep_signed_zeros_and_nan_payloads_apart() {
+    use ompfuzz_ast::{
+        AssignOp, Assignment, BinOp, Block, BlockItem, Expr, FpType, LValue, Param, Program, Stmt,
+    };
+    let program = caselib::case_study_3(6000, 32);
+    let input = caselib::case_study_input(&program);
+    assert_eq!(
+        memo_key(&program, &input),
+        memo_key(&program.clone(), &input.clone())
+    );
+
+    let quiet_nan = f64::NAN;
+    let payload_nan = f64::from_bits(f64::NAN.to_bits() | 1);
+    let pairs = [(0.0, -0.0), (quiet_nan, payload_nan)];
+
+    // Each pair differs in a program constant: `comp += var_1 * x;`.
+    let with_const = |x: f64| {
+        let stmt = Stmt::Assign(Assignment {
+            target: LValue::Comp,
+            op: AssignOp::AddAssign,
+            value: Expr::binary(Expr::var("var_1"), BinOp::Mul, Expr::fp_const(x)),
+        });
+        Program::new(
+            vec![Param::fp(FpType::F64, "var_1")],
+            Block(vec![BlockItem::Stmt(stmt)]),
+        )
+    };
+    for (a, b) in pairs {
+        let (pa, pb) = (with_const(a), with_const(b));
+        if a == b {
+            // `PartialEq` conflates them; the memo key must not.
+            assert_eq!(pa, pb);
+        }
+        assert_ne!(memo_key(&pa, &input), memo_key(&pb, &input));
+    }
+
+    // ... in a floating-point input value (scalar or array fill), and in
+    // the initial `comp`.
+    for (a, b) in pairs {
+        for wrap in [InputValue::Fp, InputValue::ArrayFill] {
+            let with_value = |x: f64| {
+                let mut i = input.clone();
+                i.values.push(wrap(x));
+                i
+            };
+            let (ia, ib) = (with_value(a), with_value(b));
+            assert_ne!(memo_key(&program, &ia), memo_key(&program, &ib));
+        }
+        let with_comp = |x: f64| {
+            let mut i = input.clone();
+            i.comp_init = x;
+            i
+        };
+        assert_ne!(
+            memo_key(&program, &with_comp(a)),
+            memo_key(&program, &with_comp(b))
+        );
+    }
 }
 
 #[test]
@@ -175,6 +292,7 @@ fn stale_verdict_returns_the_program_unmodified() {
     let out = reduce_with_workers(&target, 4);
     assert_eq!(out.reduced, program);
     assert_eq!(out.oracle_checks, 1);
+    assert_eq!(out.memo_hits, 0);
     assert_eq!(out.rounds, 0);
 }
 
@@ -195,4 +313,27 @@ fn clause_stripping_respects_the_trigger() {
     assert_eq!(region_clauses.num_threads, Some(32));
     assert!(region_clauses.firstprivate.is_empty());
     assert!(region_clauses.private.is_empty());
+}
+
+#[test]
+fn candidate_check_counter_matches_oracle_checks() {
+    use ompfuzz_obs::{Counter, Obs};
+    let backends = standard_backends();
+    let dyns = dyns(&backends);
+    // Wide waves evaluate speculatively past the accepted candidate; those
+    // runs must not reach the counter either.
+    for workers in [1, 8] {
+        let obs = Obs::metrics_only();
+        let config = ReduceConfig {
+            workers,
+            ..ReduceConfig::default()
+        };
+        let out = Reducer::new(&dyns, config)
+            .observed(obs.clone())
+            .reduce(&hang_target());
+        assert_eq!(
+            obs.counters().get(Counter::ReducerCandidateChecks),
+            out.oracle_checks as u64
+        );
+    }
 }

@@ -353,9 +353,10 @@ fn cmd_reduce(rest: &[String]) -> Result<(), String> {
         }
         let batch = reduce_all(&corpus, &result, &dyns, &batch_cfg);
         eprintln!(
-            "batch reduction: {} outliers reduced, {} oracle checks",
+            "batch reduction: {} outliers reduced, {} oracle checks, {} memo hits",
             batch.reduced.len(),
-            batch.oracle_checks
+            batch.oracle_checks,
+            batch.memo_hits()
         );
         let mut catalog = TriggerCatalog::new();
         fold_into_catalog(&mut catalog, &batch, cfg.seed, 0);

@@ -5,7 +5,8 @@ use crate::table::TextTable;
 use ompfuzz_reduce::ReductionOutcome;
 
 /// The reduction summary: original vs. reduced size, shrink percentage,
-/// oracle spend, and the per-pass breakdown.
+/// oracle spend (checks run and verdicts answered from the memo), and the
+/// per-pass breakdown.
 pub fn render_reduction_summary(outcome: &ReductionOutcome, labels: &[String]) -> String {
     let backend = labels
         .get(outcome.verdict.backend)
@@ -29,18 +30,20 @@ pub fn render_reduction_summary(outcome: &ReductionOutcome, labels: &[String]) -
         "oracle checks".to_string(),
         outcome.oracle_checks.to_string(),
     ]);
+    summary.push_row(vec!["memo hits".to_string(), outcome.memo_hits.to_string()]);
     summary.push_row(vec![
         "fixpoint rounds".to_string(),
         outcome.rounds.to_string(),
     ]);
 
-    let mut passes =
-        TextTable::new(vec!["pass", "accepted", "checks"]).with_title("PASS BREAKDOWN");
+    let mut passes = TextTable::new(vec!["pass", "accepted", "checks", "memo hits"])
+        .with_title("PASS BREAKDOWN");
     for p in &outcome.passes {
         passes.push_row(vec![
             p.pass.to_string(),
             p.accepted.to_string(),
             p.checks.to_string(),
+            p.memo_hits.to_string(),
         ]);
     }
 
@@ -75,6 +78,7 @@ mod tests {
             )),
             "{text}"
         );
+        assert!(text.contains("memo hits"), "{text}");
         assert!(text.contains("ddmin"), "{text}");
         assert!(text.contains("loop-trips"), "{text}");
     }

@@ -65,6 +65,7 @@ fn campaign_outlier_reduces_by_60_percent_deterministically() {
     assert_eq!(seq.reduced, par.reduced);
     assert_eq!(seq.input, par.input);
     assert_eq!(seq.oracle_checks, par.oracle_checks);
+    assert_eq!(seq.memo_hits, par.memo_hits);
     assert_eq!(seq.passes, par.passes);
 
     // ≥ 60% of statements eliminated.
