@@ -512,18 +512,19 @@ impl CompiledTest for SimBinary {
         // 2. Interpret under this backend's semantics, on the engine the
         //    run options select (flat bytecode by default).
         let exec_opts = self.exec_options(opts);
-        match self.code.run_with(input, &exec_opts, scratch) {
+        match self.code.run(input, &exec_opts, scratch) {
             Ok(outcome) => self.post_process(outcome, input, opts),
             Err(e) => self.error_result(&e, opts),
         }
     }
 
-    /// All inputs of a test in one VM pass per group of `batch_width`
-    /// lanes: one instruction fetch serves the whole group
-    /// ([`ompfuzz_exec::vm::run_batch`]). Crash-triggered lanes still run
-    /// in the batch (their interpreter outcome is discarded, exactly as
-    /// the scalar path never starts one) — the check is pre-execution
-    /// metadata, so dropping the lane would only complicate the layout.
+    /// All inputs of a test in one VM pass per chunk of up to
+    /// `batch_width` lanes (a chunk of one included): one instruction
+    /// fetch serves the whole chunk ([`ompfuzz_exec::vm::run_batch`]).
+    /// Crash-triggered lanes still run in the batch (their interpreter
+    /// outcome is discarded, exactly as the single-input path never starts
+    /// one) — the check is pre-execution metadata, so dropping the lane
+    /// would only complicate the layout.
     fn run_batch(
         &self,
         inputs: &[TestInput],
@@ -542,18 +543,12 @@ impl CompiledTest for SimBinary {
         let outcomes = match scratch.memoized_batch(&self.code, inputs, &exec_opts) {
             Some(outcomes) => outcomes,
             None => {
-                let scalar = inputs.len() <= 1
-                    || opts.batch_width <= 1
-                    || opts.engine == ompfuzz_exec::ExecEngine::Tree;
-                let mut outcomes = Vec::with_capacity(inputs.len());
-                if scalar {
-                    for input in inputs {
-                        outcomes.push(self.code.run_with(input, &exec_opts, scratch));
-                    }
-                } else {
-                    for chunk in inputs.chunks(opts.batch_width.max(1)) {
-                        outcomes.extend(self.code.run_batch_with(chunk, &exec_opts, scratch));
-                    }
+                let mut chunks = inputs
+                    .chunks(opts.batch_width.max(1))
+                    .map(|chunk| self.code.run_batch(chunk, &exec_opts, scratch));
+                let mut outcomes = chunks.next().unwrap_or_default();
+                for more in chunks {
+                    outcomes.extend(more);
                 }
                 scratch.memoize_batch(&self.code, inputs, &exec_opts, &outcomes);
                 outcomes
@@ -595,7 +590,10 @@ impl SimBinary {
             detect_races: false,
             engine: opts.engine,
         };
-        let outcome = self.code.run(input, &exec_opts).ok()?;
+        let outcome = self
+            .code
+            .run(input, &exec_opts, &mut ExecScratch::new())
+            .ok()?;
         let breakdown = time_breakdown(&outcome.stats, &self.runtime(), self.opt_factor());
         Some(profile::build(
             self.vendor,

@@ -100,9 +100,10 @@ pub struct RunOptions {
     pub engine: ompfuzz_exec::ExecEngine,
     /// Maximum lane count of batched execution
     /// ([`crate::backend::CompiledTest::run_batch`]): inputs of one test
-    /// run through the VM in groups of up to this many lanes, one
-    /// instruction fetch per group. `1` disables batching (every input
-    /// takes the scalar path); results are bit-identical at any width.
+    /// run through the VM in chunks of up to this many lanes, one
+    /// instruction fetch per chunk. `1` runs every input alone, as a
+    /// batch of width 1 on the same engine; `0` counts as `1`. Results
+    /// are bit-identical at any width.
     pub batch_width: usize,
 }
 

@@ -2,15 +2,16 @@
 //! simulated run; 1,800-run campaigns are only practical because this stays
 //! in the tens of millions of operations per second).
 //!
-//! Benchmarks the tree-walk reference against the flat bytecode VM — with
-//! and without race detection — and the lane-batched VM on a multi-input
-//! workload (the same program run on 8 inputs per pass, the shape the
-//! campaign's differential loop produces), and writes the comparison to
-//! `BENCH_interp.json` at the repository root. The run **fails** if the
-//! bytecode engine is not faster than the tree baseline on the plain
-//! `cs2_interpretation` workload, or if the batched engine is not faster
-//! than scalar bytecode on the multi-input workload — each engine's reason
-//! to exist is its floor.
+//! Benchmarks the tree-walk reference against the flat bytecode VM on a
+//! single input (a batch of width 1) — with and without race detection —
+//! and the same VM on a multi-input workload (the same program run on 8
+//! inputs per pass, the shape the campaign's differential loop produces),
+//! and writes the comparison to `BENCH_interp.json` at the repository
+//! root (the `bytecode` entry is the single-input row). The run **fails**
+//! if the bytecode engine is not faster than the tree baseline on the
+//! plain `cs2_interpretation` workload, or if an 8-lane batch is not
+//! faster than single-input runs on the multi-input workload — each
+//! path's reason to exist is its floor.
 //!
 //! `OMPFUZZ_BENCH_QUICK=1` shortens the measurement phase for the CI smoke
 //! step; the JSON records which mode produced it.
@@ -137,8 +138,8 @@ fn bench_interp(c: &mut Criterion) {
     let scratch = RefCell::new(ExecScratch::new());
 
     // Engine comparison, written to BENCH_interp.json and gated: the VM
-    // must beat the tree walk on the plain workload, and the batched VM
-    // must beat scalar bytecode on the multi-input workload.
+    // must beat the tree walk on the plain workload, and 8-lane batches
+    // must beat single-input runs on the multi-input workload.
     let quick = std::env::var_os("OMPFUZZ_BENCH_QUICK").is_some();
     let (mode, windows, window) = if quick {
         ("quick", 4, Duration::from_millis(120))
@@ -153,7 +154,7 @@ fn bench_interp(c: &mut Criterion) {
         ));
     };
     let vm_run = |o: &ExecOptions| {
-        let _ = black_box(ompfuzz_exec::vm::run_with(
+        let _ = black_box(ompfuzz_exec::vm::run(
             black_box(&compiled),
             black_box(&input),
             o,
@@ -219,8 +220,8 @@ fn bench_interp(c: &mut Criterion) {
     );
     assert!(
         batch.plain > byte.plain,
-        "batched engine ({:.1} Mops/s) is not faster than scalar bytecode ({:.1} Mops/s) \
-         on the {lanes}-input cs2 workload",
+        "batched engine ({:.1} Mops/s) is not faster than single-input bytecode \
+         ({:.1} Mops/s) on the {lanes}-input cs2 workload",
         batch.plain / 1e6,
         byte.plain / 1e6,
     );
@@ -232,7 +233,7 @@ fn bench_interp(c: &mut Criterion) {
     group.throughput(Throughput::Elements(ops));
     group.bench_function("cs2_interpretation", |b| {
         b.iter(|| {
-            black_box(ompfuzz_exec::vm::run_with(
+            black_box(ompfuzz_exec::vm::run(
                 black_box(&compiled),
                 black_box(&input),
                 &opts,
@@ -251,7 +252,7 @@ fn bench_interp(c: &mut Criterion) {
     });
     group.bench_function("cs2_with_race_detection", |b| {
         b.iter(|| {
-            black_box(ompfuzz_exec::vm::run_with(
+            black_box(ompfuzz_exec::vm::run(
                 black_box(&compiled),
                 black_box(&input),
                 &ropts,

@@ -4,7 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ompfuzz_backends::{oracle, standard_backends, CompileOptions, OmpBackend, RunOptions};
+use ompfuzz_exec::ExecScratch;
 use ompfuzz_harness::caselib;
+use ompfuzz_obs::Obs;
 use ompfuzz_outlier::OutlierKind;
 use ompfuzz_reduce::{ReduceConfig, Reducer, ReductionTarget, Verdict};
 use std::hint::black_box;
@@ -51,6 +53,8 @@ fn bench_reduction(c: &mut Criterion) {
                     max_ops: 40_000_000,
                     ..RunOptions::default()
                 },
+                &mut ExecScratch::new(),
+                &Obs::off(),
             ))
         })
     });

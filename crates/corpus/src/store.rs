@@ -100,8 +100,14 @@ impl Node {
     }
 }
 
+/// Deepest list nesting [`parse_nodes`] accepts. Catalogs and checkpoints
+/// nest a program's statements and expressions a few dozen levels at
+/// most; the reader recurses once per level, so a damaged or hostile file
+/// nested without limit would overflow the stack and abort the process.
+pub const MAX_DEPTH: usize = 512;
+
 /// Parse every top-level s-expression in `text`. Lines starting with `;`
-/// are comments.
+/// are comments; lists nested deeper than [`MAX_DEPTH`] are an error.
 pub fn parse_nodes(text: &str) -> Result<Vec<Node>, StoreError> {
     let mut tokens = Vec::new();
     for line in text.lines() {
@@ -114,7 +120,7 @@ pub fn parse_nodes(text: &str) -> Result<Vec<Node>, StoreError> {
     let mut nodes = Vec::new();
     let mut pos = 0;
     while pos < tokens.len() {
-        nodes.push(parse_node(&tokens, &mut pos)?);
+        nodes.push(parse_node(&tokens, &mut pos, 0)?);
     }
     Ok(nodes)
 }
@@ -162,7 +168,8 @@ fn tokenize_line(line: &str, out: &mut Vec<Token>) -> Result<(), StoreError> {
     Ok(())
 }
 
-fn parse_node(tokens: &[Token], pos: &mut usize) -> Result<Node, StoreError> {
+/// `depth` counts the lists enclosing this node.
+fn parse_node(tokens: &[Token], pos: &mut usize, depth: usize) -> Result<Node, StoreError> {
     match tokens.get(*pos) {
         None => err("unexpected end of input"),
         Some(Token::Close) => err("unbalanced `)`"),
@@ -174,6 +181,9 @@ fn parse_node(tokens: &[Token], pos: &mut usize) -> Result<Node, StoreError> {
             *pos += 1;
             Ok(Node::Str(s.clone()))
         }
+        Some(Token::Open) if depth >= MAX_DEPTH => {
+            err(format!("lists nested deeper than {MAX_DEPTH} levels"))
+        }
         Some(Token::Open) => {
             *pos += 1;
             let mut items = Vec::new();
@@ -184,7 +194,7 @@ fn parse_node(tokens: &[Token], pos: &mut usize) -> Result<Node, StoreError> {
                         *pos += 1;
                         return Ok(Node::List(items));
                     }
-                    _ => items.push(parse_node(tokens, pos)?),
+                    _ => items.push(parse_node(tokens, pos, depth + 1)?),
                 }
             }
         }
@@ -592,6 +602,44 @@ mod tests {
         let nodes = parse_nodes(text).unwrap();
         assert_eq!(nodes.len(), 1);
         assert_eq!(read_input(&nodes[0]).unwrap().values.len(), 1);
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nest = |n: usize| format!("{}x{}", "(".repeat(n), ")".repeat(n));
+        assert!(parse_nodes(&nest(MAX_DEPTH)).is_ok());
+        let err = parse_nodes(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.0.contains("nested deeper"), "{err}");
+    }
+
+    /// Child half of [`deep_nesting_fails_cleanly_in_a_child_process`]:
+    /// a stack overflow here aborts the process, so it only ever runs
+    /// re-executed on its own.
+    #[test]
+    #[ignore = "run in a child process by deep_nesting_fails_cleanly_in_a_child_process"]
+    fn deep_nesting_child() {
+        let depth = 100_000;
+        let text = format!("(program {}x{})", "(".repeat(depth), ")".repeat(depth));
+        assert!(parse_nodes(&text).is_err());
+    }
+
+    #[test]
+    fn deep_nesting_fails_cleanly_in_a_child_process() {
+        let name = format!(
+            "{}::deep_nesting_child",
+            module_path!().split_once("::").unwrap().1
+        );
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--ignored", "--exact", &name, "--test-threads", "1"])
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "child failed ({}): {stdout}{}",
+            out.status,
+            String::from_utf8_lossy(&out.stderr)
+        );
     }
 
     #[test]

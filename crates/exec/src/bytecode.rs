@@ -236,20 +236,13 @@ impl CompiledKernel {
         CompiledKernel::build(kernel, folds)
     }
 
-    /// Execute on `input`, dispatching on `opts.engine`: the flat bytecode
-    /// VM by default, or the tree interpreter as reference semantics.
+    /// Execute on `input` reusing a caller-held [`ExecScratch`] (the hot
+    /// paths — campaign workers, reducer candidate checks — keep one, so
+    /// thousands of runs per program stop reallocating their state
+    /// vectors), dispatching on `opts.engine`: the bytecode VM by default
+    /// ([`crate::vm::run`], a batch of width 1), or the tree interpreter as
+    /// reference semantics.
     pub fn run(
-        &self,
-        input: &ompfuzz_inputs::TestInput,
-        opts: &crate::interp::ExecOptions,
-    ) -> Result<crate::interp::ExecOutcome, crate::interp::ExecError> {
-        self.run_with(input, opts, &mut ExecScratch::new())
-    }
-
-    /// [`Self::run`] reusing a caller-held [`ExecScratch`] — what the hot
-    /// paths (campaign workers, reducer candidate checks) call so thousands
-    /// of runs per program stop reallocating their state vectors.
-    pub fn run_with(
         &self,
         input: &ompfuzz_inputs::TestInput,
         opts: &crate::interp::ExecOptions,
@@ -259,17 +252,17 @@ impl CompiledKernel {
             crate::interp::ExecEngine::Tree => {
                 crate::interp::run_with(&self.kernel, input, opts, scratch)
             }
-            crate::interp::ExecEngine::Bytecode => crate::vm::run_with(self, input, opts, scratch),
+            crate::interp::ExecEngine::Bytecode => crate::vm::run(self, input, opts, scratch),
         }
     }
 
     /// Execute one kernel over a whole batch of inputs, dispatching on
-    /// `opts.engine`: the lane-batched bytecode VM fetches/decodes each
-    /// instruction once and applies it across all lanes
-    /// ([`crate::vm::run_batch`]); the tree engine runs each input
-    /// scalar as the reference. Either way the returned outcomes are
-    /// bit-identical to running each input alone, in input order.
-    pub fn run_batch_with(
+    /// `opts.engine`: the bytecode VM fetches/decodes each instruction
+    /// once and applies it across all lanes ([`crate::vm::run_batch`]);
+    /// the tree engine runs each input alone as the reference. Either way
+    /// the returned outcomes are bit-identical to running each input
+    /// alone, in input order.
+    pub fn run_batch(
         &self,
         inputs: &[ompfuzz_inputs::TestInput],
         opts: &crate::interp::ExecOptions,

@@ -7,7 +7,8 @@
 //! * [`bytecode`] — a second compilation stage flattening a lowered kernel
 //!   into one linear instruction stream with batched op-budget charging and
 //!   pre-resolved race-check flags; [`vm`] is its dispatch loop and the
-//!   production engine;
+//!   production engine, one lane-batched interpreter that runs a single
+//!   input as a batch of width 1;
 //! * [`interp`] — the deterministic tree-walk interpreter implementing the
 //!   OpenMP semantic model (parallel regions, static `omp for` scheduling,
 //!   `private`/`firstprivate`, reductions over `comp`, critical sections)
@@ -56,7 +57,7 @@ pub use stats::{ExecStats, OpCounts, RegionTrace, ThreadWork};
 /// Convenience for one-shot runs: the bytecode engine compiles the kernel
 /// on the fly. Hot paths (backends, the campaign driver, the reducer) hold
 /// a [`CompiledKernel`] — via [`PreparedKernel`] — and call
-/// [`CompiledKernel::run_with`] against a per-worker [`ExecScratch`]
+/// [`CompiledKernel::run`] against a per-worker [`ExecScratch`]
 /// instead, so each kernel is compiled once and runs stop reallocating
 /// their state vectors however many times they execute.
 pub fn run(
@@ -66,6 +67,11 @@ pub fn run(
 ) -> Result<ExecOutcome, ExecError> {
     match opts.engine {
         ExecEngine::Tree => interp::run(kernel, input, opts),
-        ExecEngine::Bytecode => vm::run(&CompiledKernel::compile(kernel.clone()), input, opts),
+        ExecEngine::Bytecode => vm::run(
+            &CompiledKernel::compile(kernel.clone()),
+            input,
+            opts,
+            &mut ExecScratch::new(),
+        ),
     }
 }

@@ -102,18 +102,13 @@ impl ExecProfile {
     }
 
     /// Fold one finished run's block hit counts against its kernel's
-    /// block costs (the VM's end-of-run hook).
-    pub(crate) fn note_blocks(&mut self, hits: &[u64], costs: &[BlockCost]) {
-        self.note_blocks_scaled(hits, costs, 1);
-    }
-
-    /// Fold one finished *batched* run's block hit counts, scaled by the
-    /// number of lanes that ran to completion. Block hits/ops/cycles count
+    /// block costs (the VM's end-of-run hook), scaled by the number of
+    /// lanes that ran to completion. Block hits/ops/cycles count
     /// per-lane applies (each lane really did that work) while `runs`
     /// advances by the lane count, so per-run averages stay truthful.
     /// Dispatch counts are *not* scaled — the batch loop notes each opcode
     /// once per fetch, which is the whole point of batching.
-    pub(crate) fn note_blocks_scaled(&mut self, hits: &[u64], costs: &[BlockCost], lanes: u64) {
+    pub(crate) fn note_blocks(&mut self, hits: &[u64], costs: &[BlockCost], lanes: u64) {
         self.runs += lanes;
         if self.blocks.len() < hits.len() {
             self.blocks.resize(hits.len(), BlockProfile::default());
@@ -288,6 +283,7 @@ mod tests {
                     ..BlockCost::default()
                 },
             ],
+            1,
         );
         let mut b = ExecProfile::new();
         b.note_opcode(1);
@@ -299,6 +295,7 @@ mod tests {
                 cycles: 11,
                 ..BlockCost::default()
             }],
+            1,
         );
 
         let mut ab = a.clone();

@@ -4,19 +4,20 @@
 //! and integer slot files, one buffer per array parameter, the VM's
 //! operand stack and loop frames, per-block hit counters, the
 //! region-analysis marks and the privatization/save buffers of parallel
-//! regions. Allocating all of that per execution is pure overhead once a
-//! campaign runs thousands of executions per worker — an [`ExecScratch`]
-//! owns the buffers instead, and each run *resets* them (cheap fills over
-//! warm memory, no allocator round-trips once the high-water mark is
-//! reached).
+//! regions. The tree engine keeps them once; the bytecode VM keeps them
+//! once per lane, in its [`BatchScratch`]. Allocating all of that per
+//! execution is pure overhead once a campaign runs thousands of
+//! executions per worker — an [`ExecScratch`] owns the buffers instead,
+//! and each run *resets* them (cheap fills over warm memory, no allocator
+//! round-trips once the high-water mark is reached).
 //!
 //! Both engines thread a `&mut ExecScratch` through their entry points
-//! ([`crate::vm::run_with`], [`crate::interp::run_with`],
-//! [`crate::bytecode::CompiledKernel::run_with`]); the scratch-free entry
-//! points simply run against a fresh scratch. Outcomes are bit-identical
-//! either way — the reset restores exactly the state a fresh allocation
-//! would have — which the `scratch_reuse` differential suite pins over
-//! random program/input sequences.
+//! ([`crate::vm::run`], [`crate::vm::run_batch`],
+//! [`crate::interp::run_with`], [`crate::bytecode::CompiledKernel::run`]);
+//! the scratch-free entry points simply run against a fresh scratch.
+//! Outcomes are bit-identical either way — the reset restores exactly the
+//! state a fresh allocation would have — which the `scratch_reuse`
+//! differential suite pins over random program/input sequences.
 
 use crate::bytecode::CompiledKernel;
 use crate::interp::{ExecError, ExecOptions, ExecOutcome};
@@ -37,24 +38,18 @@ pub(crate) struct LoopFrame {
 /// worker (or per test case) and pass to every run.
 #[derive(Debug, Default)]
 pub struct ExecScratch {
-    /// Floating-point slot file.
+    /// Floating-point slot file (tree engine).
     pub(crate) scalars: Vec<f64>,
     /// Per-slot store precision (tree engine; the VM reads the compiled
     /// kernel's cached copy).
     pub(crate) slot_ty: Vec<FpType>,
-    /// Integer slot file (int params + loop counters).
+    /// Integer slot file (int params + loop counters; tree engine).
     pub(crate) ints: Vec<i64>,
-    /// One value buffer per array parameter.
+    /// One value buffer per array parameter (tree engine).
     pub(crate) arrays: Vec<Vec<f64>>,
     /// Per-array store precision (tree engine).
     pub(crate) array_ty: Vec<FpType>,
-    /// The VM's f64 evaluation stack.
-    pub(crate) stack: Vec<f64>,
-    /// The VM's spilled outer loop frames.
-    pub(crate) loops: Vec<LoopFrame>,
-    /// The VM's per-block execution counters.
-    pub(crate) block_hits: Vec<u64>,
-    /// Regions whose first entry has been race-analyzed.
+    /// Regions whose first entry has been race-analyzed (tree engine).
     pub(crate) region_analyzed: Vec<bool>,
     /// Slots privatized by the active region (tree engine).
     pub(crate) privatized: Vec<bool>,
@@ -69,10 +64,9 @@ pub struct ExecScratch {
     /// the VM on its unprofiled dispatch loop; results are bit-identical
     /// either way.
     pub profile: Option<Box<crate::profile::ExecProfile>>,
-    /// Lane-batched execution state ([`crate::vm::run_batch`]), created on
-    /// first batched run and reused from then on, so scalar-only callers
-    /// never pay for it.
-    pub(crate) batch: Option<Box<BatchScratch>>,
+    /// The bytecode VM's per-lane state ([`crate::vm::run`] and
+    /// [`crate::vm::run_batch`]).
+    pub(crate) batch: BatchScratch,
     /// Most recent memoized batch of outcomes ([`ExecScratch::memoized_batch`]).
     memo: Option<BatchMemo>,
 }
@@ -173,8 +167,9 @@ impl ExecScratch {
         });
     }
 
-    /// Reset the kernel-shaped state for one run of `k`: every slot file
-    /// sized and zeroed exactly as a fresh allocation would be.
+    /// Reset the tree engine's kernel-shaped state for one run of `k`:
+    /// every slot file sized and zeroed exactly as a fresh allocation
+    /// would be.
     pub(crate) fn reset_for(&mut self, k: &Kernel) {
         self.scalars.clear();
         self.scalars.resize(k.scalars.len(), 0.0);
@@ -185,8 +180,6 @@ impl ExecScratch {
             buf.clear();
             buf.resize(a.len as usize, 0.0);
         }
-        self.stack.clear();
-        self.loops.clear();
         self.region_analyzed.clear();
         self.region_analyzed.resize(k.region_count as usize, false);
         self.region_saved.clear();
@@ -202,17 +195,11 @@ impl ExecScratch {
         self.privatized.clear();
         self.privatized.resize(k.scalars.len(), false);
     }
-
-    /// Reset the VM's per-block hit counters for a stream of `blocks`.
-    pub(crate) fn reset_blocks(&mut self, blocks: usize) {
-        self.block_hits.clear();
-        self.block_hits.resize(blocks, 0);
-    }
 }
 
-/// Reusable state of the lane-batched VM ([`crate::vm::run_batch`]): every
-/// per-run value the scalar VM keeps once is held once *per lane*, in
-/// structure-of-arrays layout. Rows are slot-major — lane `l` of slot `s`
+/// Reusable state of the bytecode VM ([`crate::vm::run`],
+/// [`crate::vm::run_batch`]): every per-run value is held once *per lane*,
+/// in structure-of-arrays layout. Rows are slot-major — lane `l` of slot `s`
 /// lives at `[s * width + l]` — so one instruction's applies sweep one
 /// contiguous row of `width` values.
 #[derive(Debug, Default)]
@@ -234,7 +221,7 @@ pub(crate) struct BatchScratch {
     pub(crate) comp_before: Vec<f64>,
     /// Lanes still executing in the batch. A demoted (`false`) lane keeps
     /// computing garbage mask-free — its state is abandoned and the input
-    /// re-runs on the scalar path when the batch finishes.
+    /// re-runs at width 1 when the batch finishes.
     pub(crate) active: Vec<bool>,
     /// NaN productions, per lane (the only per-lane [`crate::ExecStats`]
     /// fields, with `inf`).
@@ -262,7 +249,10 @@ pub(crate) struct BatchScratch {
 
 impl BatchScratch {
     /// Size and zero every row for one batch of `width` lanes over `k`,
-    /// exactly as `width` fresh scalar scratches would start.
+    /// exactly as `width` fresh single-input runs would start. The staging
+    /// rows (`comp`, `comp_before`, `tmp`) are only sized: a run writes
+    /// each of their values before reading it (binding sets `comp`, region
+    /// entry `comp_before`, operand loads `tmp`).
     pub(crate) fn reset_for(&mut self, k: &Kernel, blocks: usize, width: usize) {
         self.width = width;
         self.scalars.clear();
@@ -275,10 +265,9 @@ impl BatchScratch {
             buf.resize(a.len as usize * width, 0.0);
         }
         self.stack.clear();
-        self.comp.clear();
         self.comp.resize(width, 0.0);
-        self.comp_before.clear();
         self.comp_before.resize(width, 0.0);
+        self.tmp.resize(2 * width, 0.0);
         self.active.clear();
         self.active.resize(width, true);
         self.nan.clear();
@@ -300,7 +289,5 @@ impl BatchScratch {
         self.loops.clear();
         self.region_analyzed.clear();
         self.region_analyzed.resize(k.region_count as usize, false);
-        self.tmp.clear();
-        self.tmp.resize(2 * width, 0.0);
     }
 }

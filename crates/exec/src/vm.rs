@@ -1,67 +1,177 @@
-//! Linear dispatch over the flat bytecode form.
+//! The bytecode VM: linear dispatch over the flat bytecode form, applied
+//! across a batch of inputs.
 //!
-//! [`run`] executes a [`CompiledKernel`] and produces an [`ExecOutcome`]
-//! bit-identical to the tree interpreter's for the same `(kernel, input,
-//! options)` — same `comp` bits, same [`crate::stats::ExecStats`], same
-//! race reports, and budget exhaustion on exactly the same runs. The hot
-//! loop is a single `match` over a contiguous instruction slice: no
-//! recursion, no per-node budget checks (straight-line blocks charge once,
-//! via their precomputed [`crate::bytecode::BlockCost`]), and no dynamic
-//! sharing analysis (race-check flags were resolved at compile time).
+//! [`run`] executes a [`CompiledKernel`] on one input and [`run_batch`] on
+//! several; both produce, per input, an [`ExecOutcome`] bit-identical to
+//! the tree interpreter's for the same `(kernel, input, options)` — same
+//! `comp` bits, same [`crate::stats::ExecStats`], same race reports, and
+//! budget exhaustion on exactly the same runs.
 //!
-//! In debug builds every successful run is re-executed on the tree
-//! interpreter and the batched statistics are asserted equal to the
-//! per-node counts — the accounting-drift tripwire backing the
-//! `bytecode_equiv` differential suite.
+//! There is one engine, `BatchVm`: every instruction is fetched and
+//! decoded once and applied across all lanes of the batch, with per-lane
+//! state held in structure-of-arrays rows ([`BatchScratch`]). A
+//! single-input run is a batch of width 1; the row helpers specialize on
+//! the compile-time width, so at `W == 1` a row is one value and lane
+//! masks, consensus and row strides fold away. The hot loop is a single
+//! indexed call per instruction through one handler table: no recursion,
+//! no per-node budget checks (straight-line blocks charge once, via their
+//! precomputed [`crate::bytecode::BlockCost`]), and no dynamic sharing
+//! analysis (race-check flags were resolved at compile time).
+//!
+//! **Divergence.** Active lanes share one control flow. At a data-dependent
+//! branch or loop bound the first active lane's value is the consensus and
+//! disagreeing lanes are *demoted*; a demoted lane, or a lane whose input
+//! fails to bind, re-runs at width 1, where there is a single lane that
+//! can never demote, so nothing recurses.
+//!
+//! In debug builds every lane that completes is re-executed on the tree
+//! interpreter and its comp bits and statistics asserted equal — the
+//! accounting-drift tripwire backing the `bytecode_equiv` and
+//! `batch_equiv` differential suites.
 
 use crate::bytecode::{BlockCost, CompiledKernel, Instr, Operand};
 use crate::interp::{apply_bool, BoolSemantics, ExecError, ExecOptions, ExecOutcome};
 use crate::kernel::{ArrayId, IntSlotId, LBound, LIndex, ParamBinding, SlotId};
 use crate::profile::ExecProfile;
-use crate::race::{Loc, RaceDetector};
+use crate::race::Loc;
 use crate::scratch::{BatchScratch, ExecScratch, LoopFrame};
 use crate::stats::{ExecStats, RegionTrace, ThreadWork};
 use ompfuzz_ast::{AssignOp, BinOp, BoolOp, FpType, MathFunc};
 use ompfuzz_inputs::{InputValue, TestInput};
 
-/// Execute `ck` on `input` with the bytecode engine (fresh scratch).
+/// Execute `ck` on one input: a batch of width 1, reusing `scratch`'s
+/// buffers (the reset restores exactly the state a fresh allocation would
+/// have, so outcomes never depend on what the scratch ran before).
 pub fn run(
-    ck: &CompiledKernel,
-    input: &TestInput,
-    opts: &ExecOptions,
-) -> Result<ExecOutcome, ExecError> {
-    run_with(ck, input, opts, &mut ExecScratch::new())
-}
-
-/// Execute `ck` on `input` with the bytecode engine, reusing `scratch`'s
-/// buffers (bit-identical to [`run`]; the reset restores exactly the state
-/// a fresh allocation would have).
-pub fn run_with(
     ck: &CompiledKernel,
     input: &TestInput,
     opts: &ExecOptions,
     scratch: &mut ExecScratch,
 ) -> Result<ExecOutcome, ExecError> {
-    scratch.reset_for(&ck.kernel);
-    scratch.reset_blocks(ck.blocks.len());
-    let mut vm = Vm::new(ck, opts, scratch);
-    vm.bind_input(input)?;
+    let ExecScratch { batch, profile, .. } = scratch;
+    batch.reset_for(&ck.kernel, ck.blocks.len(), 1);
+    let mut vm = BatchVm::<1>::new(ck, opts, batch, profile.as_deref_mut());
+    vm.bind_lane(0, input)?;
     vm.dispatch()?;
-    let outcome = ExecOutcome {
-        comp: vm.comp,
-        stats: vm.stats,
-        races: vm.race.into_reports(),
-    };
+    let stats = std::mem::take(&mut vm.stats);
+    let outcome = vm.lane_outcome(0, stats);
     #[cfg(debug_assertions)]
     parity_check(ck, input, opts, &outcome);
     Ok(outcome)
 }
 
-/// Debug-build tripwire for accounting drift: the batched block charges
-/// must reproduce the tree interpreter's per-node statistics exactly.
+/// Execute `ck` over a whole batch of inputs in one pass: every
+/// instruction is fetched and decoded once and applied across all lanes
+/// (the [`BatchScratch`] holds per-lane state in structure-of-arrays rows,
+/// so one instruction's applies sweep contiguous memory).
+///
+/// **Divergence model.** Active lanes share one control flow, so budget
+/// charges, loop frames, region/thread bookkeeping and every uniform
+/// [`ExecStats`] field are computed once for the batch. The only
+/// data-dependent control decisions are `BoolTest` outcomes and
+/// `LoopStart` bounds read from an int slot: at each such point the first
+/// active lane's value is the consensus, and active lanes that disagree
+/// are *demoted*. A demoted lane's batch state is abandoned — execution is
+/// deterministic, so re-running the input at width 1 afterwards
+/// reproduces that lane's exact outcome. Demoted lanes keep computing
+/// mask-free garbage in their columns, which is harmless by construction
+/// (f64 arithmetic never traps, moduli clamp to ≥ 1, indices clamp to the
+/// array) and cheaper than masking every row operation.
+///
+/// **Budget.** Charges are uniform across active lanes, so one shared
+/// budget counter follows exactly the trajectory each single-input run
+/// would see: exhaustion hits every active lane on the same fetch with the
+/// same [`ExecError::BudgetExceeded`], and demoted lanes recover their own
+/// (possibly different) verdict from the width-1 re-run.
+///
+/// Outcomes come back in input order, bit-identical to one [`run`] per
+/// input — same comp bits, statistics, race reports and errors. The
+/// `batch_equiv` differential suite and the debug-build per-lane tree
+/// parity assert pin that.
+pub fn run_batch(
+    ck: &CompiledKernel,
+    inputs: &[TestInput],
+    opts: &ExecOptions,
+    scratch: &mut ExecScratch,
+) -> Vec<Result<ExecOutcome, ExecError>> {
+    // Monomorphize the hot widths: the campaign's paper config batches 3
+    // inputs per test, the throughput bench 8, and the default
+    // `batch_width` cap is 16. Everything else takes the runtime-width
+    // instantiation, which is identical code minus the constant folding.
+    match inputs.len() {
+        0 => Vec::new(),
+        1 => vec![run(ck, &inputs[0], opts, scratch)],
+        3 => run_batch_w::<3>(ck, inputs, opts, scratch),
+        8 => run_batch_w::<8>(ck, inputs, opts, scratch),
+        16 => run_batch_w::<16>(ck, inputs, opts, scratch),
+        _ => run_batch_w::<0>(ck, inputs, opts, scratch),
+    }
+}
+
+/// [`run_batch`] at one compile-time width (`W == 0` = any width ≥ 2).
+fn run_batch_w<const W: usize>(
+    ck: &CompiledKernel,
+    inputs: &[TestInput],
+    opts: &ExecOptions,
+    scratch: &mut ExecScratch,
+) -> Vec<Result<ExecOutcome, ExecError>> {
+    let w = inputs.len();
+    let mut results: Vec<Option<Result<ExecOutcome, ExecError>>> = Vec::with_capacity(w);
+    results.resize_with(w, || None);
+    {
+        let ExecScratch { batch, profile, .. } = &mut *scratch;
+        batch.reset_for(&ck.kernel, ck.blocks.len(), w);
+        let mut vm = BatchVm::<W>::new(ck, opts, batch, profile.as_deref_mut());
+        for (lane, input) in inputs.iter().enumerate() {
+            if vm.bind_lane(lane, input).is_err() {
+                // The width-1 re-run below reproduces this lane's exact
+                // mismatch error; only the lane's own columns were touched.
+                vm.bs.active[lane] = false;
+                vm.active_count -= 1;
+            }
+        }
+        if vm.active_count > 0 {
+            match vm.dispatch() {
+                Ok(()) => {
+                    for (lane, slot) in results.iter_mut().enumerate() {
+                        if vm.bs.active[lane] {
+                            let stats = vm.stats.clone();
+                            let outcome = vm.lane_outcome(lane, stats);
+                            #[cfg(debug_assertions)]
+                            parity_check(ck, &inputs[lane], opts, &outcome);
+                            *slot = Some(Ok(outcome));
+                        }
+                    }
+                }
+                // Uniform charging: the error hit every active lane on the
+                // same fetch (see the budget note above).
+                Err(e) => {
+                    for (lane, slot) in results.iter_mut().enumerate() {
+                        if vm.bs.active[lane] {
+                            *slot = Some(Err(e.clone()));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    results
+        .into_iter()
+        .zip(inputs)
+        // Demoted lane: the deterministic width-1 re-run is this lane's
+        // exact outcome (including its error, if any).
+        .map(|(r, input)| r.unwrap_or_else(|| run(ck, input, opts, scratch)))
+        .collect()
+}
+
+/// Debug-build tripwire: a lane the engine completed must match the tree
+/// interpreter — the reference semantics — bit for bit: the batched block
+/// charges must reproduce its per-node statistics exactly. Race detection
+/// never changes charges, so the reference run skips it (the
+/// `bytecode_equiv` and `batch_equiv` suites compare race reports).
 #[cfg(debug_assertions)]
 fn parity_check(ck: &CompiledKernel, input: &TestInput, opts: &ExecOptions, outcome: &ExecOutcome) {
-    // Race detection never changes charges, so the reference run skips it.
     let reference_opts = ExecOptions {
         detect_races: false,
         ..*opts
@@ -69,13 +179,13 @@ fn parity_check(ck: &CompiledKernel, input: &TestInput, opts: &ExecOptions, outc
     match crate::interp::run(&ck.kernel, input, &reference_opts) {
         Ok(tree) => {
             debug_assert_eq!(
-                tree.stats, outcome.stats,
-                "bytecode-batched statistics drifted from the tree interpreter's per-node counts"
-            );
-            debug_assert_eq!(
                 tree.comp.to_bits(),
                 outcome.comp.to_bits(),
                 "bytecode result diverged from the tree interpreter"
+            );
+            debug_assert_eq!(
+                tree.stats, outcome.stats,
+                "bytecode statistics drifted from the tree interpreter's per-node counts"
             );
         }
         Err(e) => debug_assert!(
@@ -83,6 +193,13 @@ fn parity_check(ck: &CompiledKernel, input: &TestInput, opts: &ExecOptions, outc
             "tree interpreter failed ({e}) on a run the bytecode engine completed"
         ),
     }
+}
+
+/// Handler verdict: keep dispatching (with `ip` possibly redirected) or
+/// stop the run.
+enum Flow {
+    Next,
+    Halt,
 }
 
 /// Per-thread context while inside a parallel region.
@@ -99,932 +216,11 @@ struct ThreadCtx {
     crit_depth: u32,
 }
 
-/// The outermost parallel region currently executing its team.
-#[derive(Debug)]
-struct RegionFrame {
-    tid: u32,
-    team: u32,
-    /// Pre-region values of privatized slots (private first, then
-    /// firstprivate — the firstprivate tail doubles as the per-thread
-    /// initializer). The buffer is borrowed from the scratch at region
-    /// entry and handed back at the join.
-    saved: Vec<(SlotId, f64)>,
-    comp_before: f64,
-    partials: Vec<f64>,
-    recording: bool,
-}
-
-struct Vm<'c, 's> {
-    ck: &'c CompiledKernel,
-    /// Reused slot files, stack, loop frames and block counters; reset for
-    /// this kernel before the run started.
-    s: &'s mut ExecScratch,
-    bool_semantics: BoolSemantics,
-    detect_races: bool,
-    comp: f64,
-    /// The innermost active loop, kept out of the spill stack so the
-    /// once-per-iteration `LoopNext` touches a plain field.
-    cur_loop: LoopFrame,
-    ctx: Option<ThreadCtx>,
-    region: Option<RegionFrame>,
-    /// Depth of nested regions executing inline on the outer team.
-    nested: u32,
-    stats: ExecStats,
-    ops_left: u64,
-    max_ops: u64,
-    race: RaceDetector,
-    /// First entry of a region is being recorded for race analysis.
-    recording: bool,
-}
-
-impl<'c, 's> Vm<'c, 's> {
-    fn new(ck: &'c CompiledKernel, opts: &ExecOptions, scratch: &'s mut ExecScratch) -> Vm<'c, 's> {
-        scratch.stack.reserve(ck.max_stack);
-        Vm {
-            ck,
-            s: scratch,
-            bool_semantics: opts.bool_semantics,
-            detect_races: opts.detect_races,
-            comp: 0.0,
-            cur_loop: LoopFrame {
-                counter: 0,
-                i: 0,
-                end: 0,
-            },
-            ctx: None,
-            region: None,
-            nested: 0,
-            stats: ExecStats::default(),
-            ops_left: opts.limits.max_ops,
-            max_ops: opts.limits.max_ops,
-            race: RaceDetector::new(),
-            recording: false,
-        }
-    }
-
-    /// Identical input-binding semantics to the tree interpreter.
-    fn bind_input(&mut self, input: &TestInput) -> Result<(), ExecError> {
-        let ck = self.ck;
-        let k = &ck.kernel;
-        if input.values.len() != k.param_order.len() {
-            return Err(ExecError::InputMismatch(format!(
-                "kernel has {} parameters, input provides {}",
-                k.param_order.len(),
-                input.values.len()
-            )));
-        }
-        self.comp = input.comp_init;
-        for (binding, value) in k.param_order.iter().zip(&input.values) {
-            match (binding, value) {
-                (ParamBinding::Scalar(s), InputValue::Fp(v)) => {
-                    self.s.scalars[*s as usize] = ck.slot_ty[*s as usize].round(*v);
-                }
-                (ParamBinding::Int(i), InputValue::Int(v)) => {
-                    self.s.ints[*i as usize] = *v;
-                }
-                (ParamBinding::Array(a), InputValue::ArrayFill(v) | InputValue::Fp(v)) => {
-                    let fill = ck.array_ty[*a as usize].round(*v);
-                    self.s.arrays[*a as usize].fill(fill);
-                }
-                (b, v) => {
-                    return Err(ExecError::InputMismatch(format!(
-                        "binding {b:?} incompatible with input value {v:?}"
-                    )))
-                }
-            }
-        }
-        Ok(())
-    }
-
-    // ----- accounting -------------------------------------------------------
-
-    /// Charge a straight-line block in one step. Only the context-dependent
-    /// attribution (thread cycles/ops) happens here; the global counters
-    /// are deferred to [`Vm::flush_block_stats`] via the hit count.
-    #[inline]
-    fn charge_block(&mut self, idx: usize, b: &BlockCost) -> Result<(), ExecError> {
-        if self.ops_left < b.ops {
-            return Err(ExecError::BudgetExceeded {
-                max_ops: self.max_ops,
-            });
-        }
-        self.ops_left -= b.ops;
-        self.s.block_hits[idx] += 1;
-        match &mut self.ctx {
-            Some(c) => {
-                c.cycles += b.cycles;
-                c.ops += b.ops;
-                if c.crit_depth > 0 {
-                    c.critical_cycles += b.cycles;
-                }
-                c.critical_acquisitions += b.crit_acqs;
-            }
-            None => self.stats.serial_cycles += b.cycles,
-        }
-        Ok(())
-    }
-
-    /// Reconstruct the global statistics from the per-block hit counts:
-    /// every counter is an order-independent sum, so `count × hits` at the
-    /// end equals merging on every entry.
-    fn flush_block_stats(&mut self) {
-        for (hits, b) in self.s.block_hits.iter().zip(&self.ck.blocks) {
-            let n = *hits;
-            if n == 0 {
-                continue;
-            }
-            let o = &mut self.stats.ops;
-            o.add_sub += b.counts.add_sub * n;
-            o.mul += b.counts.mul * n;
-            o.div += b.counts.div * n;
-            o.math += b.counts.math * n;
-            o.math_cycles += b.counts.math_cycles * n;
-            o.loads += b.counts.loads * n;
-            o.stores += b.counts.stores * n;
-            o.compares += b.counts.compares * n;
-            self.stats.loop_iterations += b.loop_iters * n;
-            self.stats.branches += b.branches * n;
-        }
-    }
-
-    /// Charge `n` executions of a straight-line block in one step (the
-    /// whole trip of a bulk loop). Every field is a sum, so `cost × n` at
-    /// entry equals charging each iteration; saturation can only overstate
-    /// the bill, which the budget check then correctly rejects.
-    fn charge_block_times(&mut self, idx: usize, b: &BlockCost, n: u64) -> Result<(), ExecError> {
-        let total_ops = b.ops.saturating_mul(n);
-        if self.ops_left < total_ops {
-            return Err(ExecError::BudgetExceeded {
-                max_ops: self.max_ops,
-            });
-        }
-        self.ops_left -= total_ops;
-        self.s.block_hits[idx] += n;
-        let cycles = b.cycles.saturating_mul(n);
-        match &mut self.ctx {
-            Some(c) => {
-                c.cycles += cycles;
-                c.ops += total_ops;
-                if c.crit_depth > 0 {
-                    c.critical_cycles += cycles;
-                }
-                c.critical_acquisitions += b.crit_acqs.saturating_mul(n);
-            }
-            None => self.stats.serial_cycles += cycles,
-        }
-        Ok(())
-    }
-
-    /// One dynamic charge (the per-thread fork/join cost).
-    fn charge_one(&mut self, cycles: u64) -> Result<(), ExecError> {
-        if self.ops_left == 0 {
-            return Err(ExecError::BudgetExceeded {
-                max_ops: self.max_ops,
-            });
-        }
-        self.ops_left -= 1;
-        match &mut self.ctx {
-            Some(c) => {
-                c.cycles += cycles;
-                c.ops += 1;
-                if c.crit_depth > 0 {
-                    c.critical_cycles += cycles;
-                }
-            }
-            None => self.stats.serial_cycles += cycles,
-        }
-        Ok(())
-    }
-
-    #[inline]
-    fn note_fp(&mut self, result: f64, inputs_ok: bool) {
-        if inputs_ok {
-            if result.is_nan() {
-                self.stats.nan_produced += 1;
-            } else if result.is_infinite() {
-                self.stats.inf_produced += 1;
-            }
-        }
-    }
-
-    #[inline]
-    fn record(&mut self, loc: Loc, write: bool) {
-        let (tid, protected) = match &self.ctx {
-            Some(c) => (c.tid, c.crit_depth > 0),
-            None => (0, false),
-        };
-        self.race.record(loc, tid, write, protected);
-    }
-
-    /// The common store tail: `comp <op>= v` with race recording and
-    /// NaN/Inf accounting, shared by the plain and fused instructions.
-    #[inline(always)]
-    fn store_comp(&mut self, op: ompfuzz_ast::AssignOp, race: bool, v: f64) {
-        if race && self.recording {
-            if op.reads_target() {
-                self.record(Loc::Comp, false);
-            }
-            self.record(Loc::Comp, true);
-        }
-        let new = op.apply(self.comp, v);
-        self.note_fp(new, self.comp.is_finite() && v.is_finite());
-        self.comp = new;
-    }
-
-    /// The common store tail: `scalar <op>= v`, rounded to the slot type.
-    #[inline(always)]
-    fn store_scalar(&mut self, slot: SlotId, op: ompfuzz_ast::AssignOp, race: bool, v: f64) {
-        let i = slot as usize;
-        if race && self.recording {
-            if op.reads_target() {
-                self.record(Loc::Scalar(slot), false);
-            }
-            self.record(Loc::Scalar(slot), true);
-        }
-        self.s.scalars[i] = self.ck.slot_ty[i].round(op.apply(self.s.scalars[i], v));
-    }
-
-    /// Load one inline operand (or pop a pushed intermediate). Callers
-    /// load rhs before lhs so two `Stack` operands pop in evaluation order.
-    #[inline(always)]
-    fn value_of(&mut self, o: &Operand) -> f64 {
-        match o {
-            Operand::Stack => self.s.stack.pop().expect("operand on stack"),
-            Operand::Const(v) => *v,
-            Operand::Scalar { slot, race } => {
-                if *race && self.recording {
-                    self.record(Loc::Scalar(*slot), false);
-                }
-                self.s.scalars[*slot as usize]
-            }
-            Operand::Elem { array, index, race } => {
-                let i = self.resolve_index(*index, *array);
-                if *race && self.recording {
-                    self.record(Loc::Elem(*array, i as u32), false);
-                }
-                self.s.arrays[*array as usize][i]
-            }
-        }
-    }
-
-    #[inline]
-    fn resolve_index(&self, idx: LIndex, array: ArrayId) -> usize {
-        let len = self.s.arrays[array as usize].len();
-        match idx {
-            LIndex::Const(k) => (k as usize).min(len - 1),
-            LIndex::LoopMod(slot, m) => {
-                let i = self.s.ints[slot as usize];
-                let m = m.max(1) as i64;
-                // Counters usually sit below the modulus: `i in [0, m)` is
-                // the identity, sparing the 64-bit division (a negative `i`
-                // wraps past `m` as u64 and takes the exact path).
-                let v = if (i as u64) < m as u64 {
-                    i as usize
-                } else {
-                    i.rem_euclid(m) as usize
-                };
-                v.min(len - 1)
-            }
-            LIndex::ThreadId => {
-                let tid = self.ctx.as_ref().map_or(0, |c| c.tid);
-                (tid as usize).min(len - 1)
-            }
-        }
-    }
-
-    // ----- regions ----------------------------------------------------------
-
-    fn enter_region(&mut self, region: u32) -> Result<(), ExecError> {
-        let ck = self.ck;
-        let meta = &ck.regions[region as usize];
-        let team = meta.num_threads.max(1);
-        let rid = meta.region_id as usize;
-        while self.stats.regions.len() <= rid {
-            let id = self.stats.regions.len() as u32;
-            self.stats.regions.push(RegionTrace::new(id, team));
-        }
-        let tr = &mut self.stats.regions[rid];
-        tr.num_threads = team;
-        if tr.per_thread.len() != team as usize {
-            tr.per_thread = vec![ThreadWork::default(); team as usize];
-        }
-        tr.omp_for = meta.omp_for;
-        tr.has_reduction = meta.reduction.is_some();
-        tr.entries += 1;
-
-        let recording = self.detect_races && !self.s.region_analyzed[rid];
-        if recording {
-            self.race.begin_region(meta.region_id);
-            self.recording = true;
-        }
-
-        // The save/partial buffers move scratch → frame → scratch around
-        // each region, so re-entered regions reuse one allocation.
-        let mut saved = std::mem::take(&mut self.s.region_saved);
-        saved.clear();
-        for &s in meta.private.iter().chain(&meta.firstprivate) {
-            saved.push((s, self.s.scalars[s as usize]));
-        }
-        let mut partials = std::mem::take(&mut self.s.region_partials);
-        partials.clear();
-        self.region = Some(RegionFrame {
-            tid: 0,
-            team,
-            saved,
-            comp_before: self.comp,
-            partials,
-            recording,
-        });
-        self.begin_thread(region, 0, team)
-    }
-
-    /// Fresh private copies, reduction identity, thread context, fork cost.
-    fn begin_thread(&mut self, region: u32, tid: u32, team: u32) -> Result<(), ExecError> {
-        let ck = self.ck;
-        let meta = &ck.regions[region as usize];
-        for &s in &meta.private {
-            self.s.scalars[s as usize] = 0.0;
-        }
-        let frame = self.region.take().expect("active region");
-        for &(s, v) in &frame.saved[meta.private.len()..] {
-            self.s.scalars[s as usize] = v;
-        }
-        self.region = Some(frame);
-        if let Some(red) = meta.reduction {
-            self.comp = red.identity();
-        }
-        self.ctx = Some(ThreadCtx {
-            tid,
-            team,
-            ..ThreadCtx::default()
-        });
-        self.charge_one(2)
-    }
-
-    /// Merge the finished thread; returns `true` when another thread should
-    /// run (the caller jumps back to the region prelude).
-    fn finish_thread(&mut self, region: u32) -> Result<bool, ExecError> {
-        let ck = self.ck;
-        let meta = &ck.regions[region as usize];
-        let mut frame = self.region.take().expect("active region");
-        let ctx = self.ctx.take().expect("thread context");
-        let rid = meta.region_id as usize;
-        let tw = &mut self.stats.regions[rid].per_thread[frame.tid as usize];
-        tw.cycles += ctx.cycles;
-        tw.ops += ctx.ops;
-        tw.critical_acquisitions += ctx.critical_acquisitions;
-        tw.critical_cycles += ctx.critical_cycles;
-        if meta.reduction.is_some() {
-            frame.partials.push(self.comp);
-        }
-
-        frame.tid += 1;
-        if frame.tid < frame.team {
-            let (tid, team) = (frame.tid, frame.team);
-            self.region = Some(frame);
-            self.begin_thread(region, tid, team)?;
-            return Ok(true);
-        }
-
-        // Join: restore privatized slots, combine the reduction, close the
-        // race-recording window.
-        for &(s, v) in &frame.saved {
-            self.s.scalars[s as usize] = v;
-        }
-        if let Some(op) = meta.reduction {
-            let mut acc = frame.comp_before;
-            for p in &frame.partials {
-                acc = op.combine(acc, *p);
-            }
-            self.comp = acc;
-        }
-        if frame.recording {
-            self.s.region_analyzed[rid] = true;
-            self.recording = false;
-            let k = &ck.kernel;
-            self.race.end_region(&|loc| k.loc_name(loc));
-        }
-        // Hand the buffers back for the next region entry.
-        self.s.region_saved = frame.saved;
-        self.s.region_partials = frame.partials;
-        Ok(false)
-    }
-
-    // ----- the dispatch loop ------------------------------------------------
-
-    /// Monomorphize on the profiling flag: with no profile installed the
-    /// loop compiles to exactly the unprofiled code — the opt-in profiler
-    /// costs the off path nothing.
-    fn dispatch(&mut self) -> Result<(), ExecError> {
-        if self.s.profile.is_some() {
-            self.dispatch_loop::<true>()
-        } else {
-            self.dispatch_loop::<false>()
-        }
-    }
-
-    /// Direct-threaded dispatch: the compiled stream carries every
-    /// instruction's opcode index ([`CompiledKernel`]'s `opcodes` table),
-    /// so the loop body is a fetch plus an indexed call through
-    /// [`HANDLERS`] — no enum re-discrimination, and each handler is a
-    /// leaf function the optimizer specializes in isolation.
-    fn dispatch_loop<const PROFILE: bool>(&mut self) -> Result<(), ExecError> {
-        let ck = self.ck;
-        let instrs = ck.instrs.as_slice();
-        let opcodes = ck.opcodes.as_slice();
-        let mut ip = 0usize;
-        loop {
-            let ins = &instrs[ip];
-            let op = opcodes[ip] as usize;
-            ip += 1;
-            if PROFILE {
-                if let Some(profile) = self.s.profile.as_deref_mut() {
-                    profile.note_opcode(op);
-                }
-            }
-            match HANDLERS[op](self, ins, &mut ip)? {
-                Flow::Next => {}
-                Flow::Halt => break,
-            }
-        }
-        self.flush_block_stats();
-        if PROFILE {
-            let s = &mut *self.s;
-            if let Some(profile) = s.profile.as_deref_mut() {
-                profile.note_blocks(&s.block_hits, &ck.blocks);
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Handler verdict: keep dispatching (with `ip` possibly redirected) or
-/// stop the run.
-enum Flow {
-    Next,
-    Halt,
-}
-
-/// One scalar opcode handler. `ip` already points past the instruction;
-/// jumping handlers overwrite it with an absolute target.
-type Handler = for<'v, 'c, 's, 'i, 'x> fn(
-    &'v mut Vm<'c, 's>,
-    &'i Instr,
-    &'x mut usize,
-) -> Result<Flow, ExecError>;
-
-/// The scalar handler table, indexed by [`crate::profile::opcode_index`]
-/// (same order as [`crate::profile::OPCODE_NAMES`]).
-static HANDLERS: [Handler; crate::profile::OPCODE_COUNT] = [
-    h_charge,
-    h_binary,
-    h_call,
-    h_store_comp,
-    h_store_scalar,
-    h_store_comp_bin,
-    h_store_scalar_bin,
-    h_store_elem,
-    h_bool_test,
-    h_loop_start,
-    h_loop_next,
-    h_critical_enter,
-    h_critical_exit,
-    h_region_enter,
-    h_region_exit,
-    h_halt,
-];
-
-fn h_charge(vm: &mut Vm<'_, '_>, ins: &Instr, _ip: &mut usize) -> Result<Flow, ExecError> {
-    let Instr::Charge(b) = ins else {
-        unreachable!()
-    };
-    let ck = vm.ck;
-    let idx = *b as usize;
-    vm.charge_block(idx, &ck.blocks[idx])?;
-    Ok(Flow::Next)
-}
-
-fn h_binary(vm: &mut Vm<'_, '_>, ins: &Instr, _ip: &mut usize) -> Result<Flow, ExecError> {
-    let Instr::Binary { op, lhs, rhs } = ins else {
-        unreachable!()
-    };
-    let r = vm.value_of(rhs);
-    let l = vm.value_of(lhs);
-    let v = op.apply(l, r);
-    vm.note_fp(v, l.is_finite() && r.is_finite());
-    vm.s.stack.push(v);
-    Ok(Flow::Next)
-}
-
-fn h_call(vm: &mut Vm<'_, '_>, ins: &Instr, _ip: &mut usize) -> Result<Flow, ExecError> {
-    let Instr::Call { func, arg } = ins else {
-        unreachable!()
-    };
-    let a = vm.value_of(arg);
-    let v = func.apply(a);
-    vm.note_fp(v, a.is_finite());
-    vm.s.stack.push(v);
-    Ok(Flow::Next)
-}
-
-fn h_store_comp(vm: &mut Vm<'_, '_>, ins: &Instr, _ip: &mut usize) -> Result<Flow, ExecError> {
-    let Instr::StoreComp { op, race, value } = ins else {
-        unreachable!()
-    };
-    let v = vm.value_of(value);
-    vm.store_comp(*op, *race, v);
-    Ok(Flow::Next)
-}
-
-fn h_store_scalar(vm: &mut Vm<'_, '_>, ins: &Instr, _ip: &mut usize) -> Result<Flow, ExecError> {
-    let Instr::StoreScalar {
-        slot,
-        op,
-        race,
-        value,
-    } = ins
-    else {
-        unreachable!()
-    };
-    let v = vm.value_of(value);
-    vm.store_scalar(*slot, *op, *race, v);
-    Ok(Flow::Next)
-}
-
-fn h_store_comp_bin(vm: &mut Vm<'_, '_>, ins: &Instr, _ip: &mut usize) -> Result<Flow, ExecError> {
-    let Instr::StoreCompBin {
-        op,
-        race,
-        bin,
-        lhs,
-        rhs,
-    } = ins
-    else {
-        unreachable!()
-    };
-    let r = vm.value_of(rhs);
-    let l = vm.value_of(lhs);
-    let v = bin.apply(l, r);
-    vm.note_fp(v, l.is_finite() && r.is_finite());
-    vm.store_comp(*op, *race, v);
-    Ok(Flow::Next)
-}
-
-fn h_store_scalar_bin(
-    vm: &mut Vm<'_, '_>,
-    ins: &Instr,
-    _ip: &mut usize,
-) -> Result<Flow, ExecError> {
-    let Instr::StoreScalarBin {
-        slot,
-        op,
-        race,
-        bin,
-        lhs,
-        rhs,
-    } = ins
-    else {
-        unreachable!()
-    };
-    let r = vm.value_of(rhs);
-    let l = vm.value_of(lhs);
-    let v = bin.apply(l, r);
-    vm.note_fp(v, l.is_finite() && r.is_finite());
-    vm.store_scalar(*slot, *op, *race, v);
-    Ok(Flow::Next)
-}
-
-fn h_store_elem(vm: &mut Vm<'_, '_>, ins: &Instr, _ip: &mut usize) -> Result<Flow, ExecError> {
-    let Instr::StoreElem {
-        array,
-        index,
-        op,
-        race,
-        value,
-    } = ins
-    else {
-        unreachable!()
-    };
-    let v = vm.value_of(value);
-    let a = *array as usize;
-    let i = vm.resolve_index(*index, *array);
-    if *race && vm.recording {
-        if op.reads_target() {
-            vm.record(Loc::Elem(*array, i as u32), false);
-        }
-        vm.record(Loc::Elem(*array, i as u32), true);
-    }
-    let old = vm.s.arrays[a][i];
-    vm.s.arrays[a][i] = vm.ck.array_ty[a].round(op.apply(old, v));
-    Ok(Flow::Next)
-}
-
-fn h_bool_test(vm: &mut Vm<'_, '_>, ins: &Instr, ip: &mut usize) -> Result<Flow, ExecError> {
-    let Instr::BoolTest {
-        lhs,
-        op,
-        race,
-        rhs,
-        if_false,
-    } = ins
-    else {
-        unreachable!()
-    };
-    let r = vm.value_of(rhs);
-    if *race && vm.recording {
-        vm.record(Loc::Scalar(*lhs), false);
-    }
-    let l = vm.s.scalars[*lhs as usize];
-    if apply_bool(vm.bool_semantics, *op, l, r) {
-        vm.stats.branches_taken += 1;
-    } else {
-        *ip = *if_false as usize;
-    }
-    Ok(Flow::Next)
-}
-
-fn h_loop_start(vm: &mut Vm<'_, '_>, ins: &Instr, ip: &mut usize) -> Result<Flow, ExecError> {
-    let Instr::LoopStart {
-        counter,
-        bound,
-        omp_for,
-        exit,
-        body_block,
-        bulk,
-    } = ins
-    else {
-        unreachable!()
-    };
-    let ck = vm.ck;
-    let n = match bound {
-        LBound::Const(n) => *n as i64,
-        LBound::IntSlot(s) => vm.s.ints[*s as usize],
-    }
-    .max(0) as u64;
-    let (start, end) = match (&vm.ctx, omp_for) {
-        (Some(c), true) => {
-            // OpenMP static schedule: contiguous ceil(n/T).
-            let team = c.team.max(1) as u64;
-            let chunk = n.div_ceil(team);
-            let start = (c.tid as u64) * chunk;
-            (start.min(n), (start + chunk).min(n))
-        }
-        _ => (0, n),
-    };
-    if start >= end {
-        *ip = *exit as usize;
-    } else {
-        vm.s.ints[*counter as usize] = start as i64;
-        vm.s.loops.push(vm.cur_loop);
-        vm.cur_loop = LoopFrame {
-            counter: *counter,
-            i: start,
-            end,
-        };
-        let idx = *body_block as usize;
-        if *bulk {
-            vm.charge_block_times(idx, &ck.blocks[idx], end - start)?;
-        } else {
-            vm.charge_block(idx, &ck.blocks[idx])?;
-        }
-    }
-    Ok(Flow::Next)
-}
-
-fn h_loop_next(vm: &mut Vm<'_, '_>, ins: &Instr, ip: &mut usize) -> Result<Flow, ExecError> {
-    let Instr::LoopNext {
-        body,
-        body_block,
-        bulk,
-    } = ins
-    else {
-        unreachable!()
-    };
-    vm.cur_loop.i += 1;
-    if vm.cur_loop.i < vm.cur_loop.end {
-        vm.s.ints[vm.cur_loop.counter as usize] = vm.cur_loop.i as i64;
-        if !*bulk {
-            let ck = vm.ck;
-            let idx = *body_block as usize;
-            vm.charge_block(idx, &ck.blocks[idx])?;
-        }
-        *ip = *body as usize;
-    } else {
-        vm.cur_loop = vm.s.loops.pop().expect("active loop");
-    }
-    Ok(Flow::Next)
-}
-
-fn h_critical_enter(vm: &mut Vm<'_, '_>, _ins: &Instr, _ip: &mut usize) -> Result<Flow, ExecError> {
-    if let Some(c) = &mut vm.ctx {
-        c.crit_depth += 1;
-    }
-    Ok(Flow::Next)
-}
-
-fn h_critical_exit(vm: &mut Vm<'_, '_>, _ins: &Instr, _ip: &mut usize) -> Result<Flow, ExecError> {
-    if let Some(c) = &mut vm.ctx {
-        c.crit_depth -= 1;
-    }
-    Ok(Flow::Next)
-}
-
-fn h_region_enter(vm: &mut Vm<'_, '_>, ins: &Instr, _ip: &mut usize) -> Result<Flow, ExecError> {
-    let Instr::RegionEnter { region } = ins else {
-        unreachable!()
-    };
-    if vm.ctx.is_some() {
-        // Nested region: execute inline on the current thread (a
-        // serialized nested region).
-        vm.nested += 1;
-    } else {
-        vm.enter_region(*region)?;
-    }
-    Ok(Flow::Next)
-}
-
-fn h_region_exit(vm: &mut Vm<'_, '_>, ins: &Instr, ip: &mut usize) -> Result<Flow, ExecError> {
-    let Instr::RegionExit { region, prelude } = ins else {
-        unreachable!()
-    };
-    if vm.nested > 0 {
-        vm.nested -= 1;
-    } else if vm.finish_thread(*region)? {
-        *ip = *prelude as usize;
-    }
-    Ok(Flow::Next)
-}
-
-fn h_halt(_vm: &mut Vm<'_, '_>, _ins: &Instr, _ip: &mut usize) -> Result<Flow, ExecError> {
-    Ok(Flow::Halt)
-}
-
-// ----- the lane-batched VM --------------------------------------------------
-
-/// Execute `ck` over a whole batch of inputs in one pass: every
-/// instruction is fetched and decoded once and applied across all lanes
-/// (the [`BatchScratch`] holds per-lane state in structure-of-arrays rows,
-/// so one instruction's applies sweep contiguous memory).
-///
-/// **Divergence model.** Active lanes share one control flow, so budget
-/// charges, loop frames, region/thread bookkeeping and every uniform
-/// [`ExecStats`] field are computed once for the batch. The only
-/// data-dependent control decisions are `BoolTest` outcomes and
-/// `LoopStart` bounds read from an int slot: at each such point the first
-/// active lane's value is the consensus, and active lanes that disagree
-/// are *demoted*. A demoted lane's batch state is abandoned — execution is
-/// deterministic, so re-running the input on the scalar path afterwards
-/// reproduces that lane's exact outcome. Demoted lanes keep computing
-/// mask-free garbage in their columns, which is harmless by construction
-/// (f64 arithmetic never traps, moduli clamp to ≥ 1, indices clamp to the
-/// array) and cheaper than masking every row operation.
-///
-/// **Budget.** Charges are uniform across active lanes, so one shared
-/// budget counter follows exactly the trajectory each scalar run would
-/// see: exhaustion hits every active lane on the same fetch with the same
-/// [`ExecError::BudgetExceeded`], and demoted lanes recover their own
-/// (possibly different) verdict from the scalar re-run.
-///
-/// Outcomes come back in input order, bit-identical to `N` scalar runs —
-/// same comp bits, statistics, race reports and errors. The `batch_equiv`
-/// differential suite and a debug-build per-lane parity assert pin that.
-pub fn run_batch(
-    ck: &CompiledKernel,
-    inputs: &[TestInput],
-    opts: &ExecOptions,
-    scratch: &mut ExecScratch,
-) -> Vec<Result<ExecOutcome, ExecError>> {
-    let w = inputs.len();
-    if w == 0 {
-        return Vec::new();
-    }
-    if w == 1 {
-        return vec![run_with(ck, &inputs[0], opts, scratch)];
-    }
-    // Monomorphize the hot widths: the campaign's paper config batches 3
-    // inputs per test, the throughput bench 8, and the default
-    // `batch_width` cap is 16. Everything else takes the runtime-width
-    // instantiation, which is identical code minus the constant folding.
-    match w {
-        3 => run_batch_w::<3>(ck, inputs, opts, scratch),
-        8 => run_batch_w::<8>(ck, inputs, opts, scratch),
-        16 => run_batch_w::<16>(ck, inputs, opts, scratch),
-        _ => run_batch_w::<0>(ck, inputs, opts, scratch),
-    }
-}
-
-/// [`run_batch`] at one compile-time width (`W == 0` = any width).
-fn run_batch_w<const W: usize>(
-    ck: &CompiledKernel,
-    inputs: &[TestInput],
-    opts: &ExecOptions,
-    scratch: &mut ExecScratch,
-) -> Vec<Result<ExecOutcome, ExecError>> {
-    let w = inputs.len();
-    let mut bs = scratch.batch.take().unwrap_or_default();
-    bs.reset_for(&ck.kernel, ck.blocks.len(), w);
-    let mut results: Vec<Option<Result<ExecOutcome, ExecError>>> = Vec::with_capacity(w);
-    results.resize_with(w, || None);
-    {
-        let mut vm = BatchVm::<W>::new(ck, opts, &mut bs, scratch.profile.as_deref_mut());
-        for (lane, input) in inputs.iter().enumerate() {
-            if vm.bind_lane(lane, input).is_err() {
-                // The scalar re-run below reproduces this lane's exact
-                // mismatch error; only the lane's own columns were touched.
-                vm.bs.active[lane] = false;
-                vm.active_count -= 1;
-            }
-        }
-        if vm.active_count > 0 {
-            match vm.dispatch() {
-                Ok(()) => {
-                    for (lane, slot) in results.iter_mut().enumerate().take(w) {
-                        if !vm.bs.active[lane] {
-                            continue;
-                        }
-                        let mut stats = vm.stats.clone();
-                        stats.nan_produced = vm.bs.nan[lane];
-                        stats.inf_produced = vm.bs.inf[lane];
-                        *slot = Some(Ok(ExecOutcome {
-                            comp: vm.bs.comp[lane],
-                            stats,
-                            races: vm.bs.races[lane].take_reports(),
-                        }));
-                    }
-                }
-                // Uniform charging: the error hit every active lane on the
-                // same fetch (see the budget note above).
-                Err(e) => {
-                    for (lane, slot) in results.iter_mut().enumerate().take(w) {
-                        if vm.bs.active[lane] {
-                            *slot = Some(Err(e.clone()));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    scratch.batch = Some(bs);
-
-    results
-        .into_iter()
-        .enumerate()
-        .map(|(lane, r)| match r {
-            Some(r) => {
-                #[cfg(debug_assertions)]
-                batch_parity_check(ck, &inputs[lane], opts, &r);
-                r
-            }
-            // Demoted lane: the deterministic scalar re-run is this
-            // lane's exact outcome (including its error, if any).
-            None => run_with(ck, &inputs[lane], opts, scratch),
-        })
-        .collect()
-}
-
-/// Debug-build tripwire: every lane the batch completed must match the
-/// scalar engine bit for bit (which the scalar run in turn checks against
-/// the tree interpreter). Runs on a private scratch so the caller's
-/// profile never observes parity re-runs.
-#[cfg(debug_assertions)]
-fn batch_parity_check(
-    ck: &CompiledKernel,
-    input: &TestInput,
-    opts: &ExecOptions,
-    result: &Result<ExecOutcome, ExecError>,
-) {
-    let scalar = run_with(ck, input, opts, &mut ExecScratch::new());
-    match (result, &scalar) {
-        (Ok(b), Ok(s)) => {
-            debug_assert_eq!(
-                s.comp.to_bits(),
-                b.comp.to_bits(),
-                "batched comp diverged from the scalar engine"
-            );
-            debug_assert_eq!(
-                s.stats, b.stats,
-                "batched statistics diverged from the scalar engine"
-            );
-            debug_assert_eq!(
-                s.races, b.races,
-                "batched race reports diverged from the scalar engine"
-            );
-        }
-        (Err(b), Err(s)) => {
-            debug_assert_eq!(b, s, "batched error diverged from the scalar engine")
-        }
-        (b, s) => debug_assert!(
-            false,
-            "batched lane disagrees with the scalar engine: batch {b:?} vs scalar {s:?}"
-        ),
-    }
-}
-
-/// The outermost parallel region currently executing (batched). Per-lane
+/// The outermost parallel region currently executing its team. Per-lane
 /// data (saved rows, reduction partials, comp-before) lives in the
 /// [`BatchScratch`] — only one physical region runs at a time, nested
 /// regions execute inline — so the frame carries just the uniform state.
-struct BatchRegionFrame {
+struct RegionFrame {
     tid: u32,
     team: u32,
     recording: bool,
@@ -1042,7 +238,7 @@ struct BatchVm<'c, 'b, 'p, const W: usize> {
     detect_races: bool,
     cur_loop: LoopFrame,
     ctx: Option<ThreadCtx>,
-    region: Option<BatchRegionFrame>,
+    region: Option<RegionFrame>,
     nested: u32,
     /// Uniform statistics shared by every completed lane; the per-lane
     /// `nan_produced`/`inf_produced` live in the scratch and are patched
@@ -1101,8 +297,21 @@ impl<'c, 'b, 'p, const W: usize> BatchVm<'c, 'b, 'p, W> {
         }
     }
 
-    /// Bind one input into lane `lane`'s columns — the batched analogue of
-    /// [`Vm::bind_input`], writing only this lane's stride.
+    /// Lane `lane`'s outcome after a completed dispatch: the uniform
+    /// `stats` (the caller clones or moves them) with this lane's own
+    /// NaN/Inf counts, comp and race reports.
+    fn lane_outcome(&mut self, lane: usize, mut stats: ExecStats) -> ExecOutcome {
+        stats.nan_produced = self.bs.nan[lane];
+        stats.inf_produced = self.bs.inf[lane];
+        ExecOutcome {
+            comp: self.bs.comp[lane],
+            stats,
+            races: self.bs.races[lane].take_reports(),
+        }
+    }
+
+    /// Bind one input into lane `lane`'s columns, writing only this lane's
+    /// stride. The binding semantics are the tree interpreter's.
     fn bind_lane(&mut self, lane: usize, input: &TestInput) -> Result<(), ExecError> {
         let ck = self.ck;
         let k = &ck.kernel;
@@ -1211,7 +420,9 @@ impl<'c, 'b, 'p, const W: usize> BatchVm<'c, 'b, 'p, W> {
         Ok(())
     }
 
-    /// Identical to [`Vm::flush_block_stats`], over the batch hit counts.
+    /// Reconstruct the global statistics from the per-block hit counts:
+    /// every counter is an order-independent sum, so `count × hits` at the
+    /// end equals merging on every entry.
     fn flush_block_stats(&mut self) {
         for (hits, b) in self.bs.block_hits.iter().zip(&self.ck.blocks) {
             let n = *hits;
@@ -1255,12 +466,21 @@ impl<'c, 'b, 'p, const W: usize> BatchVm<'c, 'b, 'p, W> {
     }
 
     // ----- row operations ---------------------------------------------------
+    //
+    // A row holds one value per lane. Wide instantiations stage operand
+    // rows in `tmp` (row 0 = lhs, row 1 = rhs). At `W == 1` a row is one
+    // value, so the helpers pass it in registers instead: they return it,
+    // and take it as their `v` argument. Wider instantiations return 0.0
+    // and ignore `v`.
 
     /// Materialize one operand into `tmp` row `t` (0 = lhs, 1 = rhs) for
-    /// every lane. Callers load rhs before lhs so two `Stack` operands pop
-    /// in evaluation order, exactly like the scalar engine.
+    /// every lane, or return its value at `W == 1`. Callers load rhs
+    /// before lhs so two `Stack` operands pop in evaluation order.
     #[inline(always)]
-    fn load(&mut self, o: &Operand, t: usize) {
+    fn load(&mut self, o: &Operand, t: usize) -> f64 {
+        if W == 1 {
+            return self.load_one(o);
+        }
         let w = self.width();
         match o {
             Operand::Stack => {
@@ -1290,7 +510,7 @@ impl<'c, 'b, 'p, const W: usize> BatchVm<'c, 'b, 'p, W> {
                     }
                     let BatchScratch { arrays, tmp, .. } = &mut *self.bs;
                     tmp[t * w..t * w + w].copy_from_slice(&arrays[a][i * w..i * w + w]);
-                    return;
+                    return 0.0;
                 }
                 let (tid, protected) = self.tid_prot();
                 for lane in 0..w {
@@ -1307,11 +527,65 @@ impl<'c, 'b, 'p, const W: usize> BatchVm<'c, 'b, 'p, W> {
                 }
             }
         }
+        0.0
     }
 
-    /// Push `tmp` row 0 as a new stack row.
+    /// [`Self::load`] at `W == 1`: the operand's value, nothing staged.
     #[inline(always)]
-    fn push_row(&mut self) {
+    fn load_one(&mut self, o: &Operand) -> f64 {
+        match o {
+            Operand::Stack => self.bs.stack.pop().expect("operand on stack"),
+            Operand::Const(v) => *v,
+            Operand::Scalar { slot, race } => {
+                if *race && self.recording {
+                    self.record_uniform(Loc::Scalar(*slot), false);
+                }
+                self.bs.scalars[*slot as usize]
+            }
+            Operand::Elem { array, index, race } => {
+                let i = self.resolve_index_lane(*index, *array, 0);
+                if *race && self.recording {
+                    self.record_uniform(Loc::Elem(*array, i as u32), false);
+                }
+                self.bs.arrays[*array as usize][i]
+            }
+        }
+    }
+
+    /// NaN/Inf accounting of one lane-0 result at `W == 1` (the row
+    /// helpers count branchlessly per lane instead).
+    #[inline(always)]
+    fn note_fp(&mut self, result: f64, inputs_ok: bool) {
+        if inputs_ok {
+            if result.is_nan() {
+                self.bs.nan[0] += 1;
+            } else if result.is_infinite() {
+                self.bs.inf[0] += 1;
+            }
+        }
+    }
+
+    /// `lhs bin rhs` as a row (see [`Self::load`]).
+    #[inline(always)]
+    fn binary(&mut self, bin: BinOp, lhs: &Operand, rhs: &Operand) -> f64 {
+        let r = self.load(rhs, 1);
+        let l = self.load(lhs, 0);
+        if W == 1 {
+            let v = bin.apply(l, r);
+            self.note_fp(v, l.is_finite() && r.is_finite());
+            return v;
+        }
+        self.bin_row(bin);
+        0.0
+    }
+
+    /// Push `tmp` row 0 (or `v`, at `W == 1`) as a new stack row.
+    #[inline(always)]
+    fn push_row(&mut self, v: f64) {
+        if W == 1 {
+            self.bs.stack.push(v);
+            return;
+        }
         let w = self.width();
         let BatchScratch { stack, tmp, .. } = &mut *self.bs;
         stack.extend_from_slice(&tmp[..w]);
@@ -1359,9 +633,15 @@ impl<'c, 'b, 'p, const W: usize> BatchVm<'c, 'b, 'p, W> {
         }
     }
 
-    /// `tmp0 = func(tmp0)` per lane, with per-lane NaN/Inf accounting.
+    /// `tmp0 = func(tmp0)` per lane, with per-lane NaN/Inf accounting
+    /// (`func(a)` returned at `W == 1`).
     #[inline(always)]
-    fn call_row(&mut self, func: MathFunc) {
+    fn call_row(&mut self, func: MathFunc, a: f64) -> f64 {
+        if W == 1 {
+            let v = func.apply(a);
+            self.note_fp(v, a.is_finite());
+            return v;
+        }
         let w = self.width();
         let BatchScratch { tmp, nan, inf, .. } = &mut *self.bs;
         for lane in 0..w {
@@ -1376,15 +656,24 @@ impl<'c, 'b, 'p, const W: usize> BatchVm<'c, 'b, 'p, W> {
             }
             tmp[lane] = v;
         }
+        0.0
     }
 
     /// `comp <op>= tmp0` per lane (race recording + NaN/Inf accounting).
-    fn store_comp_row(&mut self, op: AssignOp, race: bool) {
+    #[inline(always)]
+    fn store_comp_row(&mut self, op: AssignOp, race: bool, v: f64) {
         if race && self.recording {
             if op.reads_target() {
                 self.record_uniform(Loc::Comp, false);
             }
             self.record_uniform(Loc::Comp, true);
+        }
+        if W == 1 {
+            let cur = self.bs.comp[0];
+            let new = op.apply(cur, v);
+            self.note_fp(new, cur.is_finite() && v.is_finite());
+            self.bs.comp[0] = new;
+            return;
         }
         #[inline(always)]
         fn arm(
@@ -1427,12 +716,18 @@ impl<'c, 'b, 'p, const W: usize> BatchVm<'c, 'b, 'p, W> {
     }
 
     /// `scalar <op>= tmp0` per lane, rounded to the slot type.
-    fn store_scalar_row(&mut self, slot: SlotId, op: AssignOp, race: bool) {
+    #[inline(always)]
+    fn store_scalar_row(&mut self, slot: SlotId, op: AssignOp, race: bool, v: f64) {
         if race && self.recording {
             if op.reads_target() {
                 self.record_uniform(Loc::Scalar(slot), false);
             }
             self.record_uniform(Loc::Scalar(slot), true);
+        }
+        if W == 1 {
+            let i = slot as usize;
+            self.bs.scalars[i] = self.ck.slot_ty[i].round(op.apply(self.bs.scalars[i], v));
+            return;
         }
         #[inline(always)]
         fn arm(row: &mut [f64], tmp: &[f64], f: impl Fn(f64, f64) -> f64) {
@@ -1457,12 +752,25 @@ impl<'c, 'b, 'p, const W: usize> BatchVm<'c, 'b, 'p, W> {
     }
 
     /// `array[index] <op>= tmp0` per lane (per-lane indices and races).
-    fn store_elem_rows(&mut self, array: ArrayId, index: LIndex, op: AssignOp, race: bool) {
+    #[inline(always)]
+    fn store_elem_rows(&mut self, array: ArrayId, index: LIndex, op: AssignOp, race: bool, v: f64) {
         let w = self.width();
         let a = array as usize;
         let ty = self.ck.array_ty[a];
         let rec = race && self.recording;
         let reads = op.reads_target();
+        if W == 1 {
+            let i = self.resolve_index_lane(index, array, 0);
+            if rec {
+                if reads {
+                    self.record_uniform(Loc::Elem(array, i as u32), false);
+                }
+                self.record_uniform(Loc::Elem(array, i as u32), true);
+            }
+            let slot = &mut self.bs.arrays[a][i];
+            *slot = ty.round(op.apply(*slot, v));
+            return;
+        }
         if let Some(i) = self.resolve_index_row(index, array) {
             if rec {
                 if reads {
@@ -1498,42 +806,35 @@ impl<'c, 'b, 'p, const W: usize> BatchVm<'c, 'b, 'p, W> {
     /// is one short row comparison on the hot path.
     #[inline]
     fn resolve_index_row(&self, idx: LIndex, array: ArrayId) -> Option<usize> {
-        let len = self.ck.kernel.arrays[array as usize].len as usize;
-        match idx {
-            LIndex::Const(k) => Some((k as usize).min(len - 1)),
-            LIndex::LoopMod(slot, m) => {
-                let base = slot as usize * self.width();
-                let row = &self.bs.ints[base..base + self.width()];
-                let i = row[0];
-                if row[1..].iter().any(|&v| v != i) {
-                    return None;
-                }
-                let m = m.max(1) as i64;
-                let v = if (i as u64) < m as u64 {
-                    i as usize
-                } else {
-                    i.rem_euclid(m) as usize
-                };
-                Some(v.min(len - 1))
-            }
-            LIndex::ThreadId => {
-                let tid = self.ctx.as_ref().map_or(0, |c| c.tid);
-                Some((tid as usize).min(len - 1))
+        if let LIndex::LoopMod(slot, _) = idx {
+            let base = slot as usize * self.width();
+            let row = &self.bs.ints[base..base + self.width()];
+            if row[1..].iter().any(|&v| v != row[0]) {
+                return None;
             }
         }
+        Some(self.resolve_index_lane(idx, array, 0))
     }
 
-    /// Per-lane index resolution — the batched [`Vm::resolve_index`]; the
-    /// element count comes from the kernel (the batch buffer holds
-    /// `len × width` values).
+    /// Per-lane index resolution; the element count comes from the kernel
+    /// (the batch buffer holds `len × width` values).
     #[inline]
     fn resolve_index_lane(&self, idx: LIndex, array: ArrayId, lane: usize) -> usize {
-        let len = self.ck.kernel.arrays[array as usize].len as usize;
+        // At `W == 1` the buffer's own length is the element count, which
+        // the caller's element access then reuses.
+        let len = if W == 1 {
+            self.bs.arrays[array as usize].len()
+        } else {
+            self.ck.kernel.arrays[array as usize].len as usize
+        };
         match idx {
             LIndex::Const(k) => (k as usize).min(len - 1),
             LIndex::LoopMod(slot, m) => {
                 let i = self.bs.ints[slot as usize * self.width() + lane];
                 let m = m.max(1) as i64;
+                // Counters usually sit below the modulus: `i in [0, m)` is
+                // the identity, sparing the 64-bit division (a negative `i`
+                // wraps past `m` as u64 and takes the exact path).
                 let v = if (i as u64) < m as u64 {
                     i as usize
                 } else {
@@ -1551,6 +852,10 @@ impl<'c, 'b, 'p, const W: usize> BatchVm<'c, 'b, 'p, W> {
     /// Splat a (uniform) loop-counter value across every lane's column.
     #[inline]
     fn splat_counter(&mut self, counter: IntSlotId, v: i64) {
+        if W == 1 {
+            self.bs.ints[counter as usize] = v;
+            return;
+        }
         let w = self.width();
         let base = counter as usize * w;
         self.bs.ints[base..base + w].fill(v);
@@ -1558,10 +863,15 @@ impl<'c, 'b, 'p, const W: usize> BatchVm<'c, 'b, 'p, W> {
 
     // ----- divergence points ------------------------------------------------
 
-    /// Evaluate the branch on every active lane against `tmp` row 1; the
-    /// first active lane's outcome is the consensus and disagreeing active
-    /// lanes demote to the scalar path.
-    fn consensus_bool(&mut self, lhs: SlotId, op: BoolOp) -> bool {
+    /// Evaluate the branch on every active lane against `tmp` row 1 (or
+    /// `r`, at `W == 1`); the first active lane's outcome is the consensus
+    /// and disagreeing active lanes demote (they re-run at width 1). A
+    /// single lane always agrees with itself.
+    #[inline(always)]
+    fn consensus_bool(&mut self, lhs: SlotId, op: BoolOp, r: f64) -> bool {
+        if W == 1 {
+            return apply_bool(self.bool_semantics, op, self.bs.scalars[lhs as usize], r);
+        }
         let w = self.width();
         let base = lhs as usize * w;
         let mut consensus = None;
@@ -1590,6 +900,9 @@ impl<'c, 'b, 'p, const W: usize> BatchVm<'c, 'b, 'p, W> {
     /// over the *raw* slot value, not the clamped trip count, because the
     /// slot can be read again later (`LIndex::LoopMod`, nested bounds).
     fn consensus_int(&mut self, slot: IntSlotId) -> i64 {
+        if W == 1 {
+            return self.bs.ints[slot as usize];
+        }
         let w = self.width();
         let base = slot as usize * w;
         let mut consensus = None;
@@ -1660,7 +973,7 @@ impl<'c, 'b, 'p, const W: usize> BatchVm<'c, 'b, 'p, W> {
             comp_before[..w].copy_from_slice(&comp[..w]);
             partials.clear();
         }
-        self.region = Some(BatchRegionFrame {
+        self.region = Some(RegionFrame {
             tid: 0,
             team,
             recording,
@@ -1730,7 +1043,7 @@ impl<'c, 'b, 'p, const W: usize> BatchVm<'c, 'b, 'p, W> {
         }
 
         // Join: restore privatized rows, fold the reduction per lane in
-        // thread order (same order the scalar engine folds partials).
+        // thread order (the order the tree interpreter folds partials).
         {
             let BatchScratch {
                 scalars,
@@ -1776,8 +1089,12 @@ impl<'c, 'b, 'p, const W: usize> BatchVm<'c, 'b, 'p, W> {
         }
     }
 
-    /// The batched twin of [`Vm::dispatch_loop`]: direct-threaded through
-    /// [`BHANDLERS`], one fetch per instruction, row applies per handler.
+    /// Direct-threaded dispatch: the compiled stream carries every
+    /// instruction's opcode index ([`CompiledKernel`]'s `opcodes` table),
+    /// so the loop body is a fetch plus an indexed call through
+    /// [`Self::BHANDLERS`] — no enum re-discrimination, and each handler
+    /// is a leaf function the optimizer specializes in isolation. One
+    /// fetch serves every lane; row applies happen inside the handlers.
     /// Dispatch counts note one opcode per fetch; block totals are scaled
     /// by the completed lane count at the end ([`ExecProfile`] stays
     /// truthful about per-lane work).
@@ -1805,14 +1122,15 @@ impl<'c, 'b, 'p, const W: usize> BatchVm<'c, 'b, 'p, W> {
             let lanes = self.active_count as u64;
             let BatchVm { profile, bs, .. } = self;
             if let Some(profile) = profile.as_deref_mut() {
-                profile.note_blocks_scaled(&bs.block_hits, &ck.blocks, lanes);
+                profile.note_blocks(&bs.block_hits, &ck.blocks, lanes);
             }
         }
         Ok(())
     }
 }
 
-/// One batched opcode handler (see [`Handler`]).
+/// One opcode handler. `ip` already points past the instruction; jumping
+/// handlers overwrite it with an absolute target.
 type BHandler<const W: usize> = for<'v, 'c, 'b, 'p, 'i, 'x> fn(
     &'v mut BatchVm<'c, 'b, 'p, W>,
     &'i Instr,
@@ -1864,10 +1182,8 @@ fn bh_binary<const W: usize>(
     let Instr::Binary { op, lhs, rhs } = ins else {
         unreachable!()
     };
-    vm.load(rhs, 1);
-    vm.load(lhs, 0);
-    vm.bin_row(*op);
-    vm.push_row();
+    let v = vm.binary(*op, lhs, rhs);
+    vm.push_row(v);
     Ok(Flow::Next)
 }
 
@@ -1879,9 +1195,9 @@ fn bh_call<const W: usize>(
     let Instr::Call { func, arg } = ins else {
         unreachable!()
     };
-    vm.load(arg, 0);
-    vm.call_row(*func);
-    vm.push_row();
+    let a = vm.load(arg, 0);
+    let v = vm.call_row(*func, a);
+    vm.push_row(v);
     Ok(Flow::Next)
 }
 
@@ -1893,8 +1209,8 @@ fn bh_store_comp<const W: usize>(
     let Instr::StoreComp { op, race, value } = ins else {
         unreachable!()
     };
-    vm.load(value, 0);
-    vm.store_comp_row(*op, *race);
+    let v = vm.load(value, 0);
+    vm.store_comp_row(*op, *race, v);
     Ok(Flow::Next)
 }
 
@@ -1912,8 +1228,8 @@ fn bh_store_scalar<const W: usize>(
     else {
         unreachable!()
     };
-    vm.load(value, 0);
-    vm.store_scalar_row(*slot, *op, *race);
+    let v = vm.load(value, 0);
+    vm.store_scalar_row(*slot, *op, *race, v);
     Ok(Flow::Next)
 }
 
@@ -1932,10 +1248,8 @@ fn bh_store_comp_bin<const W: usize>(
     else {
         unreachable!()
     };
-    vm.load(rhs, 1);
-    vm.load(lhs, 0);
-    vm.bin_row(*bin);
-    vm.store_comp_row(*op, *race);
+    let v = vm.binary(*bin, lhs, rhs);
+    vm.store_comp_row(*op, *race, v);
     Ok(Flow::Next)
 }
 
@@ -1955,10 +1269,8 @@ fn bh_store_scalar_bin<const W: usize>(
     else {
         unreachable!()
     };
-    vm.load(rhs, 1);
-    vm.load(lhs, 0);
-    vm.bin_row(*bin);
-    vm.store_scalar_row(*slot, *op, *race);
+    let v = vm.binary(*bin, lhs, rhs);
+    vm.store_scalar_row(*slot, *op, *race, v);
     Ok(Flow::Next)
 }
 
@@ -1977,8 +1289,8 @@ fn bh_store_elem<const W: usize>(
     else {
         unreachable!()
     };
-    vm.load(value, 0);
-    vm.store_elem_rows(*array, *index, *op, *race);
+    let v = vm.load(value, 0);
+    vm.store_elem_rows(*array, *index, *op, *race, v);
     Ok(Flow::Next)
 }
 
@@ -1997,11 +1309,11 @@ fn bh_bool_test<const W: usize>(
     else {
         unreachable!()
     };
-    vm.load(rhs, 1);
+    let r = vm.load(rhs, 1);
     if *race && vm.recording {
         vm.record_uniform(Loc::Scalar(*lhs), false);
     }
-    if vm.consensus_bool(*lhs, *op) {
+    if vm.consensus_bool(*lhs, *op, r) {
         vm.stats.branches_taken += 1;
     } else {
         *ip = *if_false as usize;
@@ -2168,7 +1480,7 @@ mod tests {
         let kernel = lower(p).expect("lowers");
         let ck = CompiledKernel::compile(kernel.clone());
         let tree = crate::interp::run(&kernel, input, opts);
-        let byte = run_with(&ck, input, opts, &mut ExecScratch::new());
+        let byte = run(&ck, input, opts, &mut ExecScratch::new());
         match (tree, byte) {
             (Ok(t), Ok(b)) => {
                 assert_eq!(t.comp.to_bits(), b.comp.to_bits());
@@ -2252,11 +1564,10 @@ mod tests {
         // both.
         let big = ExecOptions::default();
         let total = big.limits.max_ops - {
-            let mut scratch = ExecScratch::new();
-            scratch.reset_for(&ck.kernel);
-            scratch.reset_blocks(ck.blocks.len());
-            let mut vm = Vm::new(&ck, &big, &mut scratch);
-            vm.bind_input(&input).unwrap();
+            let mut bs = BatchScratch::default();
+            bs.reset_for(&ck.kernel, ck.blocks.len(), 1);
+            let mut vm = BatchVm::<1>::new(&ck, &big, &mut bs, None);
+            vm.bind_lane(0, &input).unwrap();
             vm.dispatch().unwrap();
             vm.ops_left
         };
@@ -2266,7 +1577,7 @@ mod tests {
                 ..ExecOptions::default()
             };
             let t = crate::interp::run(&kernel, &input, &opts);
-            let b = run_with(&ck, &input, &opts, &mut ExecScratch::new());
+            let b = run(&ck, &input, &opts, &mut ExecScratch::new());
             assert_eq!(t.is_ok(), ok, "tree at budget {budget}");
             assert_eq!(b.is_ok(), ok, "bytecode at budget {budget}");
             if !ok {
@@ -2310,7 +1621,7 @@ mod tests {
         let kernel = lower(&p).unwrap();
         let ck = CompiledKernel::compile(kernel.clone());
         let opts = ExecOptions::with_race_detection();
-        let b = run_with(&ck, &input, &opts, &mut ExecScratch::new()).unwrap();
+        let b = run(&ck, &input, &opts, &mut ExecScratch::new()).unwrap();
         assert!(!b.races.is_empty());
         both_engines(&p, &input, &opts);
     }
@@ -2334,10 +1645,10 @@ mod tests {
         let opts = ExecOptions::default();
         let ck = CompiledKernel::compile(lower(&p).unwrap());
 
-        let plain = run_with(&ck, &input, &opts, &mut ExecScratch::new()).unwrap();
+        let plain = run(&ck, &input, &opts, &mut ExecScratch::new()).unwrap();
         let mut scratch = ExecScratch::new();
         scratch.profile = Some(Box::default());
-        let profiled = crate::vm::run_with(&ck, &input, &opts, &mut scratch).unwrap();
+        let profiled = run(&ck, &input, &opts, &mut scratch).unwrap();
         assert_eq!(plain.comp.to_bits(), profiled.comp.to_bits());
         assert_eq!(plain.stats, profiled.stats);
 
@@ -2350,7 +1661,7 @@ mod tests {
         assert!(profile.blocks().iter().any(|b| b.hits > 0 && b.ops > 0));
 
         // A second run accumulates into the same profile.
-        crate::vm::run_with(&ck, &input, &opts, &mut scratch).unwrap();
+        run(&ck, &input, &opts, &mut scratch).unwrap();
         assert_eq!(scratch.profile.as_ref().unwrap().runs(), 2);
     }
 
@@ -2416,21 +1727,22 @@ mod tests {
         );
     }
 
-    /// `run_batch` over `inputs` must equal per-input scalar runs exactly.
-    fn assert_batch_matches_scalar(ck: &CompiledKernel, inputs: &[TestInput], opts: &ExecOptions) {
+    /// `run_batch` over `inputs` must equal the tree interpreter — the
+    /// reference semantics — input by input, exactly.
+    fn assert_batch_matches_tree(ck: &CompiledKernel, inputs: &[TestInput], opts: &ExecOptions) {
         let mut scratch = ExecScratch::new();
         let batched = run_batch(ck, inputs, opts, &mut scratch);
         assert_eq!(batched.len(), inputs.len());
         for (input, b) in inputs.iter().zip(&batched) {
-            let s = run_with(ck, input, opts, &mut ExecScratch::new());
-            match (&s, b) {
-                (Ok(s), Ok(b)) => {
-                    assert_eq!(s.comp.to_bits(), b.comp.to_bits());
-                    assert_eq!(s.stats, b.stats);
-                    assert_eq!(s.races, b.races);
+            let t = crate::interp::run(&ck.kernel, input, opts);
+            match (&t, b) {
+                (Ok(t), Ok(b)) => {
+                    assert_eq!(t.comp.to_bits(), b.comp.to_bits());
+                    assert_eq!(t.stats, b.stats);
+                    assert_eq!(t.races, b.races);
                 }
-                (Err(se), Err(be)) => assert_eq!(se, be),
-                (s, b) => panic!("batch disagrees with scalar: {s:?} vs {b:?}"),
+                (Err(te), Err(be)) => assert_eq!(te, be),
+                (t, b) => panic!("batch disagrees with the tree: {t:?} vs {b:?}"),
             }
         }
     }
@@ -2441,7 +1753,7 @@ mod tests {
         // A branch on var_1 splits the batch: lanes below 1.0 take the if
         // body (which runs a loop, compounding the divergence), the rest
         // skip it. Demoted lanes must still come back bit-identical via
-        // the scalar fallback.
+        // the width-1 re-run.
         let p = Program::new(
             vec![Param::fp(FpType::F64, "var_1")],
             Block::of_stmts(vec![
@@ -2474,8 +1786,8 @@ mod tests {
             .iter()
             .map(|&v| fp_input(vec![v]))
             .collect();
-        assert_batch_matches_scalar(&ck, &inputs, &ExecOptions::default());
-        assert_batch_matches_scalar(&ck, &inputs, &ExecOptions::with_race_detection());
+        assert_batch_matches_tree(&ck, &inputs, &ExecOptions::default());
+        assert_batch_matches_tree(&ck, &inputs, &ExecOptions::with_race_detection());
     }
 
     #[test]
@@ -2510,10 +1822,10 @@ mod tests {
         assert_eq!(counts["halt"], 1);
         // Per-lane work is still accounted in full: 4 runs, 4× block hits.
         assert_eq!(profile.runs(), 4);
-        let scalar_hits: u64 = {
+        let single_hits: u64 = {
             let mut s = ExecScratch::new();
             s.profile = Some(Box::default());
-            run_with(&ck, &inputs[0], &opts, &mut s).unwrap();
+            run(&ck, &inputs[0], &opts, &mut s).unwrap();
             s.profile
                 .as_ref()
                 .unwrap()
@@ -2523,7 +1835,7 @@ mod tests {
                 .sum()
         };
         let batch_hits: u64 = profile.blocks().iter().map(|b| b.hits).sum();
-        assert_eq!(batch_hits, 4 * scalar_hits);
+        assert_eq!(batch_hits, 4 * single_hits);
     }
 
     #[test]
@@ -2547,14 +1859,14 @@ mod tests {
             limits: ExecLimits { max_ops: 1_000 },
             ..ExecOptions::default()
         };
-        assert_batch_matches_scalar(&ck, &inputs, &opts);
+        assert_batch_matches_tree(&ck, &inputs, &opts);
     }
 
     #[test]
     fn batch_regions_and_races_match_scalar() {
         // Region + reduction + critical: the uniform-control region
         // machinery (privatization rows, per-lane reduction folds, one
-        // race detector per lane) against the scalar engine.
+        // race detector per lane) against the tree interpreter.
         let p = Program::new(
             vec![Param::fp(FpType::F64, "var_1")],
             Block::of_stmts(vec![Stmt::OmpParallel(OmpParallel {
@@ -2592,8 +1904,8 @@ mod tests {
             .iter()
             .map(|&v| fp_input(vec![v]))
             .collect();
-        assert_batch_matches_scalar(&ck, &inputs, &ExecOptions::default());
-        assert_batch_matches_scalar(&ck, &inputs, &ExecOptions::with_race_detection());
+        assert_batch_matches_tree(&ck, &inputs, &ExecOptions::default());
+        assert_batch_matches_tree(&ck, &inputs, &ExecOptions::with_race_detection());
     }
 
     #[test]
@@ -2610,7 +1922,7 @@ mod tests {
         let mut scratch = ExecScratch::new();
         assert!(run_batch(&ck, &[], &ExecOptions::default(), &mut scratch).is_empty());
         let one = [fp_input(vec![4.25])];
-        assert_batch_matches_scalar(&ck, &one, &ExecOptions::default());
+        assert_batch_matches_tree(&ck, &one, &ExecOptions::default());
     }
 
     #[test]
@@ -2632,6 +1944,6 @@ mod tests {
             },
             fp_input(vec![2.0]),
         ];
-        assert_batch_matches_scalar(&ck, &inputs, &ExecOptions::default());
+        assert_batch_matches_tree(&ck, &inputs, &ExecOptions::default());
     }
 }

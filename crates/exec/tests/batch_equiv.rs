@@ -1,25 +1,26 @@
 //! Differential property suite: lane-batched execution is *bit-identical*
-//! to running every input through the scalar bytecode VM.
+//! to running every input alone through the tree interpreter, the
+//! reference semantics.
 //!
 //! [`vm::run_batch`] fetches each instruction once and applies it across
 //! all lanes, demoting lanes that diverge at a branch or a slot-bound loop
-//! to a scalar re-run. That is only sound if nothing observable changes,
+//! to a width-1 re-run. That is only sound if nothing observable changes,
 //! so these properties pin, over random `(program, input-batch, options)`
 //! triples with batch widths 1..16:
 //!
-//! * every lane's `ExecOutcome` equals the scalar run on that input —
+//! * every lane's `ExecOutcome` equals the tree run on that input —
 //!   `comp` compared by `to_bits` (NaN-aware), the full `ExecStats`
 //!   (including per-lane NaN/Inf production counts), and the race reports
 //!   with race detection enabled;
 //! * identical failure behaviour — a tiny op budget exhausts mid-batch on
-//!   exactly the lanes where the scalar runs exhaust it;
+//!   exactly the lanes where the tree runs exhaust it;
 //! * identity under the modelled GCC NaN-absorbing branch semantics and
 //!   the constant-folded `-O1`+ form, where divergence (and thus lane
 //!   demotion) is most frequent.
 
 use ompfuzz_exec::{
-    lower, vm, BoolSemantics, CompiledKernel, ExecError, ExecLimits, ExecOptions, ExecOutcome,
-    ExecScratch,
+    interp, lower, vm, BoolSemantics, CompiledKernel, ExecError, ExecLimits, ExecOptions,
+    ExecOutcome, ExecScratch,
 };
 use ompfuzz_gen::{GeneratorConfig, ProgramGenerator};
 use ompfuzz_inputs::{InputGenerator, TestInput};
@@ -48,26 +49,26 @@ fn generate(seed: u64, input_seed: u64, width: usize) -> (ompfuzz_ast::Program, 
 }
 
 fn assert_lane_identical(
-    scalar: &Result<ExecOutcome, ExecError>,
+    tree: &Result<ExecOutcome, ExecError>,
     batched: &Result<ExecOutcome, ExecError>,
 ) -> Result<(), String> {
-    match (scalar, batched) {
+    match (tree, batched) {
         (Ok(s), Ok(b)) => {
             if s.comp.to_bits() != b.comp.to_bits() {
                 return Err(format!(
-                    "comp diverged: scalar {} vs batched {}",
+                    "comp diverged: tree {} vs batched {}",
                     s.comp, b.comp
                 ));
             }
             if s.stats != b.stats {
                 return Err(format!(
-                    "stats diverged:\n scalar: {:?}\n batched: {:?}",
+                    "stats diverged:\n tree: {:?}\n batched: {:?}",
                     s.stats, b.stats
                 ));
             }
             if s.races != b.races {
                 return Err(format!(
-                    "races diverged:\n scalar: {:?}\n batched: {:?}",
+                    "races diverged:\n tree: {:?}\n batched: {:?}",
                     s.races, b.races
                 ));
             }
@@ -75,12 +76,12 @@ fn assert_lane_identical(
         }
         (Err(se), Err(be)) => {
             if se != be {
-                return Err(format!("errors diverged: scalar {se:?} vs batched {be:?}"));
+                return Err(format!("errors diverged: tree {se:?} vs batched {be:?}"));
             }
             Ok(())
         }
         (s, b) => Err(format!(
-            "status diverged: scalar {:?} vs batched {:?}",
+            "status diverged: tree {:?} vs batched {:?}",
             s.as_ref().map(|o| o.comp),
             b.as_ref().map(|o| o.comp)
         )),
@@ -88,7 +89,7 @@ fn assert_lane_identical(
 }
 
 /// Run the batch through [`vm::run_batch`] and every input through the
-/// scalar VM, and require each lane to match bit-for-bit.
+/// tree interpreter, and require each lane to match bit-for-bit.
 fn check_batch(
     program: &ompfuzz_ast::Program,
     inputs: &[TestInput],
@@ -110,8 +111,10 @@ fn check_batch(
         ));
     }
     for (lane, (input, b)) in inputs.iter().zip(&batched).enumerate() {
-        let scalar = vm::run_with(&ck, input, opts, &mut ExecScratch::new());
-        assert_lane_identical(&scalar, b).map_err(|msg| format!("lane {lane}: {msg}"))?;
+        // The tree interprets the same (possibly folded) kernel the
+        // bytecode was flattened from.
+        let tree = interp::run(&ck.kernel, input, opts);
+        assert_lane_identical(&tree, b).map_err(|msg| format!("lane {lane}: {msg}"))?;
     }
     Ok(())
 }
@@ -142,7 +145,7 @@ proptest! {
     }
 
     /// Tiny op budgets exhaust mid-batch: each lane fails or completes
-    /// exactly as its scalar run does, even when exhaustion strikes while
+    /// exactly as its tree run does, even when exhaustion strikes while
     /// other lanes in the batch would still have budget to spend.
     #[test]
     fn mid_batch_budget_exhaustion_is_lane_exact(
@@ -167,7 +170,7 @@ proptest! {
 
     /// The modelled GCC NaN-absorbing branch semantics — where NaN flips
     /// comparisons and lanes that produced NaN diverge from lanes that
-    /// did not — match the scalar engine lane-for-lane on the folded form.
+    /// did not — match the tree interpreter lane-for-lane on the folded form.
     #[test]
     fn nan_absorbing_batches_match_scalar_lanes(
         seed in 0u64..1_000_000,

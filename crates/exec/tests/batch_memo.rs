@@ -29,7 +29,7 @@ fn run_all(
 ) -> Vec<Result<ompfuzz_exec::ExecOutcome, ompfuzz_exec::ExecError>> {
     inputs
         .iter()
-        .map(|input| code.run_with(input, opts, scratch))
+        .map(|input| code.run(input, opts, scratch))
         .collect()
 }
 

@@ -90,7 +90,7 @@ fn check_both(
     // The tree reference interprets the same (possibly folded) kernel the
     // bytecode was flattened from.
     let tree = interp::run(&ck.kernel, input, opts);
-    let byte = vm::run_with(&ck, input, opts, &mut ExecScratch::new());
+    let byte = vm::run(&ck, input, opts, &mut ExecScratch::new());
     assert_outcomes_identical(&tree, &byte)
 }
 
@@ -192,7 +192,7 @@ fn case_shapes_match_at_budget_boundaries() {
                 ..ExecOptions::default()
             };
             let tree = interp::run(&kernel, &input, &opts);
-            let byte = vm::run_with(&ck, &input, &opts, &mut ExecScratch::new());
+            let byte = vm::run(&ck, &input, &opts, &mut ExecScratch::new());
             assert_eq!(tree.is_ok(), ok, "tree at {budget} (seed {seed})");
             assert_eq!(byte.is_ok(), ok, "bytecode at {budget} (seed {seed})");
             assert_outcomes_identical(&tree, &byte).unwrap();

@@ -86,8 +86,8 @@ proptest! {
                     limits: ExecLimits { max_ops },
                     ..ExecOptions::default()
                 };
-                let fresh_vm = vm::run(&compiled, &input, &opts);
-                let reused_vm = vm::run_with(&compiled, &input, &opts, &mut scratch);
+                let fresh_vm = vm::run(&compiled, &input, &opts, &mut ExecScratch::new());
+                let reused_vm = vm::run(&compiled, &input, &opts, &mut scratch);
                 assert_identical(&fresh_vm, &reused_vm)?;
                 let fresh_tree = interp::run(&kernel, &input, &opts);
                 let reused_tree = interp::run_with(&kernel, &input, &opts, &mut scratch);

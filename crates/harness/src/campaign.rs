@@ -489,7 +489,7 @@ pub fn detect_kernel_races(
         engine,
         ..ExecOptions::default()
     };
-    code.run_with(input, &opts, scratch).ok().map(|o| o.races)
+    code.run(input, &opts, scratch).ok().map(|o| o.races)
 }
 
 /// Run the race detector on a test case (first input). Returns `None` when

@@ -16,14 +16,22 @@ use crossbeam::channel;
 use std::cell::Cell;
 use std::sync::{Mutex, OnceLock};
 
+/// Upper bound on the worker threads one call may use. The pool grows to
+/// the largest count any call asks for and never shrinks, so an
+/// unchecked request (a mistyped `--workers`) would pin that many OS
+/// threads for the life of the process.
+pub const MAX_WORKERS: usize = 64;
+
 /// Resolve a configured worker count (`0` = use the machine's available
-/// parallelism, falling back to 4 when it cannot be queried).
+/// parallelism, falling back to 4 when it cannot be queried), clamped to
+/// [`MAX_WORKERS`].
 pub fn resolve_workers(requested: usize) -> usize {
-    if requested == 0 {
+    let workers = if requested == 0 {
         std::thread::available_parallelism().map_or(4, |n| n.get())
     } else {
         requested
-    }
+    };
+    workers.min(MAX_WORKERS)
 }
 
 /// A lifetime-erased unit of work on the shared queue. Every job a call
@@ -90,6 +98,33 @@ impl Drop for DoneGuard {
     }
 }
 
+/// Waits, when dropped, for every job a call submitted: the call's frame —
+/// the `f` and `items` its jobs borrow — cannot be left, by return or by
+/// unwind, while one of them may still run.
+struct JoinGuard {
+    done: channel::Receiver<()>,
+    pending: usize,
+}
+
+impl JoinGuard {
+    fn join(&mut self) {
+        while self.pending > 0 {
+            // A closed channel means every job (and its `DoneGuard`) is
+            // gone, finished or never to run.
+            if self.done.recv().is_err() {
+                break;
+            }
+            self.pending -= 1;
+        }
+    }
+}
+
+impl Drop for JoinGuard {
+    fn drop(&mut self) {
+        self.join();
+    }
+}
+
 /// Apply `f` to every item, using up to `workers` threads (the calling
 /// thread plus persistent pool workers), and return the results in item
 /// order.
@@ -104,7 +139,7 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let workers = workers.min(items.len()).max(1);
+    let workers = workers.min(items.len()).clamp(1, MAX_WORKERS);
     if workers == 1 || items.len() <= 1 || IS_POOL_WORKER.with(|flag| flag.get()) {
         return items.iter().map(f).collect();
     }
@@ -117,8 +152,14 @@ where
     // block — it drains the queue and then reports disconnection — so
     // every job terminates on its own, wherever it runs.
     drop(work_tx);
-    let (res_tx, res_rx) = channel::unbounded::<(usize, R)>();
     let (done_tx, done_rx) = channel::unbounded::<()>();
+    // Declared before the result channel so an unwind drops `res_rx`
+    // first: the jobs' sends then fail and they stop early.
+    let mut joined = JoinGuard {
+        done: done_rx,
+        pending: 0,
+    };
+    let (res_tx, res_rx) = channel::unbounded::<(usize, R)>();
 
     // The calling thread is one of the `workers`; the rest are pool jobs.
     let helpers = workers - 1;
@@ -137,13 +178,15 @@ where
                 }
             }
         });
-        // SAFETY: the job borrows `f` and `items` from this frame. It is
-        // joined below — `done_rx` receives one signal per submitted job,
-        // sent by `DoneGuard` even on unwind — before this function
-        // returns, so the borrows outlive every use. The erasure only
-        // widens the lifetime; layout is unchanged.
+        // SAFETY: the job borrows `f` and `items` from this frame. Once
+        // sent it is counted in `joined`, which waits for its completion
+        // signal (sent by `DoneGuard` even if the job unwinds) before this
+        // frame is left — on return and on unwind alike, including a panic
+        // in `f` on this thread — so the borrows outlive every use. The
+        // erasure only widens the lifetime; layout is unchanged.
         let job: Job = unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job) };
         assert!(pool.tx.send(job).is_ok(), "pool queue open");
+        joined.pending += 1;
     }
     drop(done_tx);
 
@@ -156,11 +199,8 @@ where
     }
     drop(res_tx);
 
-    // Join every submitted job before touching the results (and before
-    // the borrows the jobs hold go out of scope).
-    for _ in 0..helpers {
-        done_rx.recv().expect("pool job signals completion");
-    }
+    // Join every submitted job before touching the results.
+    joined.join();
 
     let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
     for (index, result) in res_rx {
@@ -196,7 +236,54 @@ mod tests {
     #[test]
     fn worker_resolution() {
         assert!(resolve_workers(0) >= 1);
+        assert!(resolve_workers(0) <= MAX_WORKERS);
         assert_eq!(resolve_workers(5), 5);
+    }
+
+    #[test]
+    fn worker_counts_are_capped() {
+        // Pure: resolving a huge request starts no thread.
+        assert_eq!(resolve_workers(MAX_WORKERS), MAX_WORKERS);
+        assert_eq!(resolve_workers(MAX_WORKERS + 1), MAX_WORKERS);
+        assert_eq!(resolve_workers(1_000_000), MAX_WORKERS);
+    }
+
+    #[test]
+    fn a_panic_on_the_calling_thread_joins_every_job_first() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Barrier;
+        use std::time::Duration;
+        /// Counts one `f` invocation out when it ends (returns or unwinds).
+        struct Live<'a>(&'a AtomicUsize);
+        impl Drop for Live<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let started = AtomicUsize::new(0);
+        let ended = AtomicUsize::new(0);
+        // Two items, two workers: the barrier holds the calling thread's
+        // first item until the pool job is inside `f` with the other, so
+        // each runs on its own thread.
+        let both_inside = Barrier::new(2);
+        let caller = std::thread::current().id();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            map_parallel(2, &[0u64, 1], |&x| {
+                started.fetch_add(1, Ordering::SeqCst);
+                let _live = Live(&ended);
+                both_inside.wait();
+                if std::thread::current().id() == caller {
+                    panic!("f panics on the calling thread");
+                }
+                // Without the join guard the unwind would leave the call
+                // while this job still borrows its frame.
+                std::thread::sleep(Duration::from_millis(50));
+                x
+            })
+        }));
+        assert!(result.is_err(), "the calling thread's panic propagates");
+        assert_eq!(started.load(Ordering::SeqCst), 2);
+        assert_eq!(ended.load(Ordering::SeqCst), 2, "a job outlived the call");
     }
 
     #[test]

@@ -93,6 +93,12 @@ impl Default for JsonObject {
     }
 }
 
+/// Deepest array/object nesting [`Value::parse`] accepts. Every document
+/// the workspace writes nests a few levels; the parser recurses once per
+/// level, so an unbounded depth would let one hostile line (a serve
+/// request nested 100,000 deep) overflow the stack and abort the process.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value. Objects keep insertion order; numbers keep their
 /// raw text (lossless for u64 counters).
 #[derive(Debug, Clone, PartialEq)]
@@ -106,11 +112,12 @@ pub enum Value {
 }
 
 impl Value {
-    /// Parse one complete JSON document; trailing garbage is an error.
+    /// Parse one complete JSON document; trailing garbage and nesting
+    /// deeper than [`MAX_DEPTH`] are errors.
     pub fn parse(text: &str) -> Result<Value, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -178,12 +185,20 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// `depth` counts the containers enclosing this value.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(bytes, pos);
+    let container = matches!(bytes.get(*pos), Some(b'{' | b'['));
+    if container && depth >= MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}",
+            pos = *pos
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Value::Bool(false)),
@@ -273,7 +288,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     expect(bytes, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -286,7 +301,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -300,7 +315,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -309,7 +324,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -373,6 +388,54 @@ mod tests {
         assert!(Value::parse("\"open").is_err());
         assert!(Value::parse("1.2.3").is_err());
         assert!(Value::parse("tru").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Value::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = Value::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper"), "{err}");
+        let obj = format!(
+            "{}1{}",
+            "{\"k\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Value::parse(&obj).is_err());
+    }
+
+    /// Child half of [`deep_nesting_fails_cleanly_in_a_child_process`]:
+    /// a stack overflow here aborts the process, so it only ever runs
+    /// re-executed on its own.
+    #[test]
+    #[ignore = "run in a child process by deep_nesting_fails_cleanly_in_a_child_process"]
+    fn deep_nesting_child() {
+        let depth = 100_000;
+        let line = format!(
+            "{{\"op\":\"submit\",\"spec\":{}1{}}}",
+            "[".repeat(depth),
+            "]".repeat(depth)
+        );
+        assert!(Value::parse(&line).is_err());
+    }
+
+    #[test]
+    fn deep_nesting_fails_cleanly_in_a_child_process() {
+        let name = format!(
+            "{}::deep_nesting_child",
+            module_path!().split_once("::").unwrap().1
+        );
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--ignored", "--exact", &name, "--test-threads", "1"])
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "child failed ({}): {stdout}{}",
+            out.status,
+            String::from_utf8_lossy(&out.stderr)
+        );
     }
 
     #[test]

@@ -277,7 +277,7 @@ impl<'b> Reducer<'b> {
         {
             return false;
         }
-        let Ok(observations) = oracle::observe_with_obs(
+        let Ok(observations) = oracle::observe(
             program,
             input,
             self.backends,

@@ -5,8 +5,10 @@
 
 use ompfuzz_ast::rewrite;
 use ompfuzz_backends::{oracle, standard_backends, CompileOptions, OmpBackend, RunOptions};
+use ompfuzz_exec::ExecScratch;
 use ompfuzz_harness::{caselib, generate_corpus, run_campaign_on, CampaignConfig};
 use ompfuzz_inputs::InputValue;
+use ompfuzz_obs::Obs;
 use ompfuzz_outlier::{analyze, OutlierConfig, OutlierKind};
 use ompfuzz_reduce::{memo_key, ReduceConfig, Reducer, ReductionOutcome, ReductionTarget, Verdict};
 use std::time::Instant;
@@ -54,6 +56,8 @@ fn oracle_is_preserved_by_reduction() {
             max_ops: 40_000_000,
             ..RunOptions::default()
         },
+        &mut ExecScratch::new(),
+        &Obs::off(),
     )
     .expect("reduced program compiles everywhere");
     let verdict = analyze(&observations, &OutlierConfig::default()).primary_outlier();
@@ -317,7 +321,7 @@ fn clause_stripping_respects_the_trigger() {
 
 #[test]
 fn candidate_check_counter_matches_oracle_checks() {
-    use ompfuzz_obs::{Counter, Obs};
+    use ompfuzz_obs::Counter;
     let backends = standard_backends();
     let dyns = dyns(&backends);
     // Wide waves evaluate speculatively past the accepted candidate; those

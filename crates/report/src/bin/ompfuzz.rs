@@ -108,7 +108,7 @@ fn print_usage() {
          \x20                            (--engine picks the interpreter; results are\n\
          \x20                            bit-identical, bytecode is the fast default;\n\
          \x20                            --batch-width caps the VM's input lanes per\n\
-         \x20                            pass, 1 forces the scalar path)\n\
+         \x20                            pass, 1 runs each input alone)\n\
          \x20 reduce [--all] [--programs N] [--seed S] [--kind slow|fast|crash|hang]\n\
          \x20        [--target IDX] [--workers W] [--catalog FILE] [--emit]\n\
          \x20        [--engine tree|bytecode] [--batch-width N]\n\
@@ -266,7 +266,7 @@ fn build_config(opts: &Opts) -> Result<CampaignConfig, String> {
 /// Apply `--engine tree|bytecode` and `--batch-width N` (results are
 /// bit-identical for any engine/width combination; the tree interpreter
 /// is the reference for differential self-testing, `--batch-width 1`
-/// forces the scalar bytecode path).
+/// runs each input alone, as a batch of width 1).
 fn apply_engine(opts: &Opts, cfg: &mut CampaignConfig) -> Result<(), String> {
     if let Some(e) = opts.value_of("--engine", None) {
         cfg.run.engine = e.parse()?;

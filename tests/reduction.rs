@@ -8,9 +8,11 @@
 use ompfuzz::ast::rewrite;
 use ompfuzz::ast::ProgramFeatures;
 use ompfuzz::backends::{oracle, standard_backends, OmpBackend};
+use ompfuzz::exec::ExecScratch;
 use ompfuzz::harness::{caselib, generate_corpus, run_campaign_on, CampaignConfig};
 use ompfuzz::outlier::{analyze, OutlierKind};
 use ompfuzz::reduce::{ReduceConfig, Reducer, ReductionTarget};
+use ompfuzz_obs::Obs;
 use std::time::Instant;
 
 /// A campaign tuned toward critical-section pressure (few reduction
@@ -89,6 +91,8 @@ fn campaign_outlier_reduces_by_60_percent_deterministically() {
             opt_level: cfg.opt_level,
         },
         &cfg.run,
+        &mut ExecScratch::new(),
+        &Obs::off(),
     )
     .expect("reduced program compiles everywhere");
     let verdict = analyze(&observations, &cfg.outlier).primary_outlier();
